@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check bench benchjson bench-diff bench-diff-par bench-diff-noskip trace-demo serve-demo cluster-demo
+.PHONY: all build test check bench benchjson bench-diff bench-diff-noskip trace-demo serve-demo cluster-demo
 
 all: build
 
@@ -15,13 +15,13 @@ test:
 # check is the pre-merge gate: static analysis plus the race detector over
 # the concurrent packages (the figure harness fans runs out over a worker
 # pool; sim, prefetch, corelet, mem, memctrl, and stack carry the
-# determinism-critical hot paths, now including the barrier-batched parallel
-# cycle engine; the serving layer — jobs, rescache, server, router, sla — is
-# concurrent by construction; datagen and workloads carry the streaming
-# dataset contract). The run includes the standing gates:
-#   TestParallelismBitIdentical — every worker count must produce
-#     byte-identical metric snapshots and reduces (the parallel engine is a
-#     speed knob, never a model change);
+# determinism-critical hot paths; the serving layer — jobs, rescache, server,
+# router, sla — is concurrent by construction; datagen and workloads carry
+# the streaming dataset contract). The determinism gate against the BENCH
+# baseline is bench-diff plus bench-diff-noskip (below). The run includes the
+# standing gates:
+#   TestMultiChannelGoldenEquivalence — 2- and 4-channel runs reduce to the
+#     single-channel output, and their Time/Cycles match a pinned hash;
 #   TestCycleLoopAllocFree — the steady-state cycle loop must make zero heap
 #     allocations on every architecture (allocs_per_run/bytes_per_run in
 #     BENCH_*.json track the same number per entry);
@@ -56,13 +56,6 @@ benchjson:
 BENCH_BASE ?= BENCH_4.json
 bench-diff:
 	$(GO) run ./cmd/milliexp -benchdiff $(BENCH_BASE)
-
-# bench-diff-par re-runs the same gate through the parallel cycle engine:
-# the determinism fields must be bit-identical to the serial baseline at any
-# worker count, or a cross-shard effect escaped the batch barrier.
-PAR ?= 4
-bench-diff-par:
-	$(GO) run ./cmd/milliexp -benchdiff $(BENCH_BASE) -parallelism $(PAR)
 
 # bench-diff-noskip replays every clock edge (quiescence time skipping off)
 # and diffs against the same baseline: the fast-forward path must be

@@ -71,7 +71,6 @@ func main() {
 	cacheEntries := flag.Int("cache", 256, "worker: local result cache entries (LRU)")
 	storeURL := flag.String("store", "", "worker: base URL of the shared result store (millid -role=store); empty = local cache only")
 	timeout := flag.Duration("timeout", 15*time.Minute, "worker: default per-job timeout (0 = none; requests may set timeout_ms)")
-	parallelism := flag.Int("parallelism", 1, "worker: default cycle-engine worker count per simulation (1 = serial; jobs may set \"parallelism\"; any value is bit-identical)")
 	skip := flag.String("skip", "on", "worker: default engine quiescence time skipping, on or off (jobs may set \"skip\"; bit-identical either way)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "worker: how long to wait for in-flight jobs on shutdown before cancelling them")
 	// Store flags.
@@ -101,7 +100,7 @@ func main() {
 	}
 	switch *role {
 	case "worker":
-		runWorker(*addr, *workers, *queue, *cacheEntries, *storeURL, *timeout, *drainTimeout, *parallelism, *skip == "off")
+		runWorker(*addr, *workers, *queue, *cacheEntries, *storeURL, *timeout, *drainTimeout, *skip == "off")
 	case "store":
 		runStore(*addr, *storeEntries, *leaseTTL)
 	case "router":
@@ -131,13 +130,12 @@ func serve(hs *http.Server, what string, shutdown func(ctx context.Context)) {
 	<-finished
 }
 
-func runWorker(addr string, workers, queue, cacheEntries int, storeURL string, timeout, drainTimeout time.Duration, parallelism int, noskip bool) {
+func runWorker(addr string, workers, queue, cacheEntries int, storeURL string, timeout, drainTimeout time.Duration, noskip bool) {
 	o := server.Options{
 		Workers:        workers,
 		QueueCapacity:  queue,
 		CacheEntries:   cacheEntries,
 		DefaultTimeout: timeout,
-		Parallelism:    parallelism,
 		NoSkip:         noskip,
 	}
 	if storeURL != "" {

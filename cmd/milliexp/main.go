@@ -62,7 +62,6 @@ func main() {
 	benchBase := flag.String("benchbase", "", "previous BENCH_*.json to compare the new report against")
 	benchScale := flag.Float64("benchscale", benchreport.DefaultScale, "input scale for -benchjson throughput runs")
 	benchDiff := flag.String("benchdiff", "", "determinism gate: collect a fresh report and exit nonzero unless its records/sim_cycles/sim_picos/insts are bit-identical to this baseline BENCH_*.json (skips figures)")
-	parallelism := flag.Int("parallelism", 1, "intra-run worker count for the deterministic parallel cycle engine (1 = serial; any value is bit-identical)")
 	skip := flag.String("skip", "on", "engine quiescence time skipping, on or off (bit-identical either way; off replays every clock edge)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -102,7 +101,7 @@ func main() {
 		return
 	}
 	if *benchJSON != "" || *benchDiff != "" {
-		runBenchReport(*benchJSON, *benchBase, *benchDiff, *benchScale, *parallelism, noskip)
+		runBenchReport(*benchJSON, *benchBase, *benchDiff, *benchScale, noskip)
 		return
 	}
 
@@ -125,7 +124,6 @@ func main() {
 	}
 	sel := func(name string) bool { return len(want) == 0 || want[name] }
 	cfg := millipede.DefaultConfig()
-	cfg.Parallelism = *parallelism
 	cfg.NoSkip = noskip
 
 	// Ctrl-C / SIGTERM cancels the sweep in flight: the context reaches
@@ -160,9 +158,8 @@ func main() {
 // runBenchReport measures simulator throughput over Figure 3's workload set
 // and writes the BENCH_*.json trajectory point and/or runs the determinism
 // gate against a baseline report.
-func runBenchReport(path, basePath, diffPath string, scale float64, parallelism int, noskip bool) {
+func runBenchReport(path, basePath, diffPath string, scale float64, noskip bool) {
 	cfg := millipede.DefaultConfig()
-	cfg.Parallelism = parallelism
 	cfg.NoSkip = noskip
 	if diffPath != "" {
 		base, err := benchreport.Read(diffPath)

@@ -34,13 +34,6 @@ type Node struct {
 	Stack     stack.Backend
 	Compute   *sim.Domain
 	MemDomain *sim.Domain
-	// Pool is the worker set of the barrier-batched parallel cycle engine,
-	// non-nil when Params.Parallelism > 1. Processor models shard their
-	// per-cycle sweep across it (corelet.Cluster.SetWorkers); the memory
-	// fabric shards its multi-channel harvest. Run closes it on return,
-	// after which any further ticks fall back to inline execution with
-	// identical results.
-	Pool *sim.Pool
 	// RunAllocs and RunBytes are the heap allocations (count and bytes, from
 	// runtime.MemStats, all goroutines) made inside the last Run's cycle
 	// loop. The interpreter is designed to allocate nothing in steady state;
@@ -67,10 +60,6 @@ func NewNode(p Params, capacityBytes int) (*Node, error) {
 	}
 	n := &Node{Params: p, Engine: sim.NewEngine(), Mem: m, DRAM: m.Store(), Port: m}
 	n.Engine.SetSkip(!p.NoSkip)
-	if p.Parallelism > 1 {
-		n.Pool = sim.NewPool(p.Parallelism)
-		m.SetWorkers(n.Pool)
-	}
 	// A capacity discipline wraps the fabric only when it changes behavior:
 	// hwcache/memcache always do; memory mode only once the dataset spills
 	// past the stack. The pass-through path below is byte-for-byte today's
@@ -149,11 +138,6 @@ func (n *Node) Run(limit sim.Time) (sim.Time, error) {
 	}
 	if limit == 0 {
 		limit = 10 * sim.Second
-	}
-	if n.Pool != nil {
-		// Release the workers when the run ends; post-Close ticks (e.g. a
-		// host-side drain) execute inline with identical results.
-		defer n.Pool.Close()
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

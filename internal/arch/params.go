@@ -56,18 +56,10 @@ type Params struct {
 	// Pipeline latencies (identical simple in-order pipelines everywhere).
 	Latencies corelet.Latencies
 
-	// Parallelism is the host-side worker count for the barrier-batched
-	// parallel cycle engine (0 or 1 = serial). It is a simulator-speed knob,
-	// not a model parameter: results are bit-identical for every value.
-	// Cluster-based models (Millipede, SSMC) shard their per-cycle corelet
-	// sweep across the workers; the SIMT and multicore models always tick
-	// serially.
-	Parallelism int
-
 	// NoSkip disables the engine's quiescence time skipping, forcing
-	// edge-by-edge dispatch. Like Parallelism it is a simulator-speed knob,
-	// not a model parameter: results are bit-identical either way, skipping
-	// is only a wall-clock optimization (and on by default).
+	// edge-by-edge dispatch. It is a simulator-speed knob, not a model
+	// parameter: results are bit-identical either way, skipping is only a
+	// wall-clock optimization (and on by default).
 	NoSkip bool
 
 	// Rate matching (Section IV-F).
@@ -133,8 +125,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("arch: bad memory queue depth")
 	case p.SSMCLineBytes <= 0 || p.CacheLineBytes <= 0:
 		return fmt.Errorf("arch: bad cache line sizes")
-	case p.Parallelism < 0:
-		return fmt.Errorf("arch: bad parallelism %d", p.Parallelism)
 	case p.DRAM.RowBytes/4%p.Corelets != 0:
 		return fmt.Errorf("arch: row words %d not divisible by %d corelets", p.DRAM.RowBytes/4, p.Corelets)
 	}

@@ -129,13 +129,9 @@ type Report struct {
 	GOARCH    string  `json:"goarch"`
 	NumCPU    int     `json:"num_cpu"`
 	Scale     float64 `json:"scale"`
-	// Parallelism is the worker count the runs were collected at (0 or 1 =
-	// serial). Any value must produce bit-identical determinism fields; the
-	// field records which configuration produced the wall-clock numbers.
-	Parallelism int `json:"parallelism,omitempty"`
 	// NoSkip records whether quiescence time skipping was disabled for the
-	// collection. Like Parallelism it cannot change the determinism fields —
-	// only the wall-clock numbers.
+	// collection. It cannot change the determinism fields — only the
+	// wall-clock numbers.
 	NoSkip bool `json:"no_skip,omitempty"`
 	// Fig3WallSeconds is the wall time of a full harness.Fig3 reproduction
 	// at Scale — the end-to-end number a future PR has to beat.
@@ -160,15 +156,14 @@ func Fig3Archs() []string {
 // benchmarks at the given scale, then times one full Fig3 reproduction.
 func Collect(p arch.Params, archs []string, scale float64) (*Report, error) {
 	r := &Report{
-		Schema:      SchemaVersion,
-		CreatedAt:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		NumCPU:      runtime.NumCPU(),
-		Scale:       scale,
-		Parallelism: p.Parallelism,
-		NoSkip:      p.NoSkip,
+		Schema:    SchemaVersion,
+		CreatedAt: time.Now().UTC().Format(time.RFC3339),
+		GoVersion: runtime.Version(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		NumCPU:    runtime.NumCPU(),
+		Scale:     scale,
+		NoSkip:    p.NoSkip,
 	}
 	for _, a := range archs {
 		for _, b := range workloads.All() {

@@ -256,15 +256,9 @@ func NewProcessor(p arch.Params, ep energy.Params, l Launch) (*Processor, error)
 		LocalBytes: p.LocalBytes,
 		Latencies:  p.Latencies,
 	}
-	if node.Pool != nil {
-		ccfg.Shards = node.Pool.Workers()
-	}
 	pr.cluster, err = corelet.NewCluster(ccfg, code, ports, read)
 	if err != nil {
 		return nil, err
-	}
-	if node.Pool != nil {
-		pr.cluster.SetWorkers(node.Pool)
 	}
 	for c := 0; c < p.Corelets; c++ {
 		for i, w := range l.Args {

@@ -27,7 +27,6 @@ import (
 	"math/bits"
 
 	"repro/internal/isa"
-	"repro/internal/sim"
 )
 
 // Status of a timing access to the global memory system.
@@ -111,15 +110,10 @@ type Code struct {
 	// carry (they depend on the dynamic outcome, not the opcode).
 	takenLat int64
 	hitLat   int64
-	// hasBAR records whether the program contains a barrier. A barrier
-	// release can wake contexts of corelets later in the same sweep, an
-	// effect the phase-split parallel tick cannot reproduce, so clusters
-	// running a BAR program always tick serially (see Tick).
-	hasBAR bool
 }
 
 // Decode predecodes prog against lat. The result is immutable and safe to
-// share across corelets and worker goroutines.
+// share across corelets and goroutines.
 func Decode(prog *isa.Program, lat Latencies) (*Code, error) {
 	if prog == nil || len(prog.Insts) == 0 {
 		return nil, fmt.Errorf("corelet: empty program")
@@ -138,9 +132,6 @@ func Decode(prog *isa.Program, lat Latencies) (*Code, error) {
 		}
 		if l < 0 || l > math.MaxUint16 {
 			return nil, fmt.Errorf("corelet: latency %d for %v out of range", l, in.Op)
-		}
-		if in.Op == isa.BAR {
-			code.hasBAR = true
 		}
 		code.ops[i] = dinst{
 			op:    in.Op,
@@ -180,11 +171,9 @@ type IDs struct {
 	Corelet, NumCorelets, NumContexts int
 }
 
-// shardStats is one worker shard's private slice of the cluster counters.
-// Every counter is a commutative sum, so aggregating over any fixed shard
-// partition yields byte-identical totals regardless of worker count. The
-// pad keeps concurrent shards off each other's cache lines.
-type shardStats struct {
+// counters are the cluster's raw execution counters; Stats derives the
+// public aggregates from them.
+type counters struct {
 	condBranches uint64
 	takenCond    uint64
 	idleCycles   uint64
@@ -192,21 +181,6 @@ type shardStats struct {
 	// classCounts is sized to 16 so the (4-bit) class index needs no bounds
 	// check on the hot path.
 	classCounts [16]uint64
-	// parked holds the shard's cross-shard effects of the current cycle:
-	// contexts whose chosen instruction touches shared state (the memory
-	// port, the barrier, the cluster halt set), recorded during the parallel
-	// private phase and executed serially at the batch barrier. Capacity is
-	// the shard's corelet count (one issue per corelet per cycle), so the
-	// append never allocates.
-	parked []parkRec
-	_      [64]byte
-}
-
-// parkRec identifies one deferred shared-state instruction: context k of
-// corelet c chose it at corelet-local cycle cyc.
-type parkRec struct {
-	c, k int32
-	cyc  int64
 }
 
 // Config sizes a Cluster.
@@ -217,9 +191,6 @@ type Config struct {
 	LocalBytes int
 	// Latencies configures issue latencies (must match the Code's decode).
 	Latencies Latencies
-	// Shards is the number of independent stats accumulators (>= the worker
-	// count the cluster will ever be ticked with); 0 means 1.
-	Shards int
 }
 
 // ctxHot is one context's scheduler-visible state: the program counter and
@@ -283,16 +254,7 @@ type Cluster struct {
 	numCore     int
 	barrier     BarrierFunc
 	tracers     []Tracer // nil until SetTracer; indexed by corelet
-	shards      []shardStats
-	// Intra-cycle parallelism (SetWorkers). shardLo[s]..shardLo[s+1] is the
-	// contiguous corelet range owned by worker shard s; tickShard is the
-	// bound method dispatched to the pool each cycle (stored so the
-	// steady-state loop allocates nothing); parking is true only during the
-	// parallel private phase, telling exec to defer shared-state ops.
-	pool      *sim.Pool
-	shardLo   []int
-	tickShard func(shard int)
-	parking   bool
+	st          counters
 }
 
 // NewCluster builds the corelets of one processor over a shared predecoded
@@ -318,10 +280,6 @@ func NewCluster(cfg Config, code *Code, ports []GlobalPort, read Reader) (*Clust
 			return nil, fmt.Errorf("corelet: nil port")
 		}
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 	nc, nk := cfg.Corelets, cfg.Contexts
 	cl := &Cluster{
 		code:       code,
@@ -340,7 +298,6 @@ func NewCluster(cfg Config, code *Code, ports []GlobalPort, read Reader) (*Clust
 		lat:        cfg.Latencies,
 		ctxMask:    uint64(1)<<uint(nk) - 1,
 		numCore:    nc,
-		shards:     make([]shardStats, shards),
 	}
 	for c := 0; c < nc; c++ {
 		cl.cores[c].ready = cl.ctxMask
@@ -377,57 +334,6 @@ func (cl *Cluster) SetTracer(corelet int, t Tracer) {
 		cl.tracers = make([]Tracer, cl.ncore)
 	}
 	cl.tracers[corelet] = t
-}
-
-// SetWorkers enables the deterministically parallel tick: the per-cycle
-// corelet sweep is split into pool.Workers() contiguous corelet ranges, one
-// per worker shard. Each shard executes its corelets' private instructions
-// and parks instructions that touch shared state (global loads, barriers,
-// halts); the parked instructions then run serially at the batch barrier in
-// ascending corelet order — exactly the order the serial sweep would have
-// executed them — so results are bit-identical for every worker count.
-//
-// The cluster's Config.Shards must be at least pool.Workers(). Pass nil to
-// restore the serial tick. Clusters whose program contains BAR, or with a
-// tracer installed, tick serially regardless (see Tick).
-func (cl *Cluster) SetWorkers(pool *sim.Pool) {
-	if pool == nil {
-		cl.pool, cl.shardLo, cl.tickShard = nil, nil, nil
-		return
-	}
-	w := pool.Workers()
-	if w > len(cl.shards) {
-		panic(fmt.Sprintf("corelet: %d workers but only %d stat shards", w, len(cl.shards)))
-	}
-	cl.pool = pool
-	cl.tickShard = cl.runShard
-	// Contiguous split of the corelet range, remainder to the low shards.
-	cl.shardLo = make([]int, w+1)
-	base, rem := cl.ncore/w, cl.ncore%w
-	for s := 0; s < w; s++ {
-		cl.shardLo[s+1] = cl.shardLo[s] + base
-		if s < rem {
-			cl.shardLo[s+1]++
-		}
-	}
-	for s := 0; s < w; s++ {
-		n := cl.shardLo[s+1] - cl.shardLo[s]
-		if cap(cl.shards[s].parked) < n {
-			cl.shards[s].parked = make([]parkRec, 0, n)
-		}
-	}
-}
-
-// runShard is the parallel private phase for one worker shard: it ticks the
-// shard's live corelets in ascending order, with stats and parked effects
-// confined to the shard's private accumulator.
-func (cl *Cluster) runShard(s int) {
-	st := &cl.shards[s]
-	for c, hi := cl.shardLo[s], cl.shardLo[s+1]; c < hi; c++ {
-		if cl.active[c/64]>>uint(c%64)&1 != 0 {
-			cl.tickCore(c, st)
-		}
-	}
 }
 
 // Halted reports whether every context of every corelet has executed HALT.
@@ -503,17 +409,14 @@ func (cl *Cluster) csr(c, ctx int, n int32) uint32 {
 // GlobalReads/LocalAccess are the global/local-memory buckets (STG is
 // rejected, so the global bucket is pure loads).
 func (cl *Cluster) Stats() Stats {
-	var s Stats
-	for i := range cl.shards {
-		sh := &cl.shards[i]
-		s.CondBranches += sh.condBranches
-		s.TakenCond += sh.takenCond
-		s.IdleCycles += sh.idleCycles
-		s.RetryCycles += sh.retryCycles
-		for k := range s.ClassCounts {
-			s.ClassCounts[k] += sh.classCounts[k]
-		}
+	st := &cl.st
+	s := Stats{
+		CondBranches: st.condBranches,
+		TakenCond:    st.takenCond,
+		IdleCycles:   st.idleCycles,
+		RetryCycles:  st.retryCycles,
 	}
+	copy(s.ClassCounts[:], st.classCounts[:])
 	for _, n := range s.ClassCounts {
 		s.Instructions += n
 	}
@@ -526,49 +429,16 @@ func (cl *Cluster) Stats() Stats {
 // Tick advances every live corelet one compute cycle: each issues at most
 // one instruction from its next ready context in round-robin order. Halted
 // corelets are skipped via the active bitmap.
-//
-// With SetWorkers the sweep runs as a two-phase batch: a parallel private
-// phase over contiguous corelet ranges, then a serial drain of parked
-// shared-state instructions in ascending corelet order (the canonical order
-// of the serial sweep), so output is bit-identical for any worker count.
-// Two configurations cannot be phase-split and fall back to the serial
-// sweep: programs containing BAR (a barrier release mid-sweep wakes later
-// corelets within the same cycle) and clusters with a tracer installed (the
-// trace must interleave in issue order).
 func (cl *Cluster) Tick() {
-	if cl.pool != nil && !cl.code.hasBAR && cl.tracers == nil {
-		cl.parking = true
-		cl.pool.Run(cl.tickShard)
-		cl.parking = false
-		// Drain in shard order = ascending corelet order. Stats from the
-		// drained instructions land in shard 0; every counter is a
-		// commutative sum, so placement does not affect totals.
-		st := &cl.shards[0]
-		for s := range cl.shardLo[:len(cl.shardLo)-1] {
-			sh := &cl.shards[s]
-			for i := range sh.parked {
-				p := &sh.parked[i]
-				cl.exec(int(p.c), int(p.k), p.cyc, st)
-			}
-			sh.parked = sh.parked[:0]
-		}
-		return
-	}
-	st := &cl.shards[0]
 	for w, word := range cl.active {
 		base := w * 64
 		for word != 0 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			cl.tickCore(c, st)
+			cl.TickCore(c)
 		}
 	}
 }
-
-// TickCore advances a single corelet one cycle (the multicore model hands
-// each core several issue slots per system cycle; a mid-cycle halt still
-// burns its remaining slots as idle, as the object-per-core model did).
-func (cl *Cluster) TickCore(c int) { cl.tickCore(c, &cl.shards[0]) }
 
 // NeverTicks is the NextWorkTicks sentinel: every runnable context is
 // blocked awaiting a memory wake, so only another domain's tick can create
@@ -606,9 +476,7 @@ func (cl *Cluster) NextWorkTicks() int64 {
 
 // SkipTicks replays n dead cluster ticks: every active corelet's cycle
 // counter advances and each elided corelet-tick counts as an idle cycle,
-// exactly as tickCore's dead paths would have tallied. Stats land in shard
-// 0; every counter is a commutative sum, so placement matches Tick's
-// drain convention.
+// exactly as TickCore's dead paths would have tallied.
 func (cl *Cluster) SkipTicks(n int64) {
 	na := 0
 	for wi, word := range cl.active {
@@ -620,7 +488,7 @@ func (cl *Cluster) SkipTicks(n int64) {
 			na++
 		}
 	}
-	cl.shards[0].idleCycles += uint64(n) * uint64(na)
+	cl.st.idleCycles += uint64(n) * uint64(na)
 }
 
 // CoreNextIssueDelta returns, for one corelet, the distance in corelet
@@ -640,10 +508,14 @@ func (cl *Cluster) CoreNextIssueDelta(c int) int64 {
 // model's per-core slots), advancing its cycle counter and idle tally.
 func (cl *Cluster) SkipCoreTicks(c int, n int64) {
 	cl.cores[c].cycle += n
-	cl.shards[0].idleCycles += uint64(n)
+	cl.st.idleCycles += uint64(n)
 }
 
-func (cl *Cluster) tickCore(c int, st *shardStats) {
+// TickCore advances a single corelet one cycle (the multicore model hands
+// each core several issue slots per system cycle; a mid-cycle halt still
+// burns its remaining slots as idle, as the object-per-core model did).
+func (cl *Cluster) TickCore(c int) {
+	st := &cl.st
 	hd := &cl.cores[c]
 	hd.cycle++
 	cyc := hd.cycle
@@ -668,7 +540,7 @@ func (cl *Cluster) tickCore(c int, st *shardStats) {
 			// Streaming steady state: all four contexts runnable and the
 			// round-robin successor ready — no bit tests, one probe.
 			hd.rr = int32(k)
-			cl.exec(c, k, cyc, st)
+			cl.exec(c, k, cyc)
 			return
 		}
 		low := int64(math.MaxInt64)
@@ -676,7 +548,7 @@ func (cl *Cluster) tickCore(c int, st *shardStats) {
 			if m>>uint(k)&1 != 0 {
 				if r := ctxs[k].readyAt; r <= cyc {
 					hd.rr = int32(k)
-					cl.exec(c, k, cyc, st)
+					cl.exec(c, k, cyc)
 					return
 				} else if r < low {
 					low = r
@@ -701,7 +573,7 @@ func (cl *Cluster) tickCore(c int, st *shardStats) {
 		k := bits.TrailingZeros64(seg)
 		if r := ctxs[k].readyAt; r <= cyc {
 			hd.rr = int32(k)
-			cl.exec(c, k, cyc, st)
+			cl.exec(c, k, cyc)
 			return
 		} else if r < low {
 			low = r
@@ -711,7 +583,7 @@ func (cl *Cluster) tickCore(c int, st *shardStats) {
 		k := bits.TrailingZeros64(seg)
 		if r := ctxs[k].readyAt; r <= cyc {
 			hd.rr = int32(k)
-			cl.exec(c, k, cyc, st)
+			cl.exec(c, k, cyc)
 			return
 		} else if r < low {
 			low = r
@@ -735,7 +607,8 @@ func advanceStream(regs *[isa.NumRegs]uint32) {
 // branch conditions, and special cases all live in one switch over the
 // predecoded opcode, so each instruction costs a single dispatch; class
 // counting and issue latency come from the decoded fields.
-func (cl *Cluster) exec(c, k int, cyc int64, st *shardStats) {
+func (cl *Cluster) exec(c, k int, cyc int64) {
+	st := &cl.st
 	idx := c*cl.nctx + k
 	ct := &cl.ctxs[idx]
 	pc := ct.pc
@@ -756,12 +629,6 @@ func (cl *Cluster) exec(c, k int, cyc int64, st *shardStats) {
 	case isa.NOP:
 		v = 0
 	case isa.HALT:
-		// Halting mutates the cluster-wide active set; during the parallel
-		// private phase it is parked and applied at the batch barrier.
-		if cl.parking {
-			st.parked = append(st.parked, parkRec{c: int32(c), k: int32(k), cyc: cyc})
-			return
-		}
 		st.classCounts[in.class&15]++
 		hd := &cl.cores[c]
 		hd.ready &^= 1 << uint(k)
@@ -892,13 +759,6 @@ func (cl *Cluster) exec(c, k int, cyc int64, st *shardStats) {
 		// retires: on Retry the context stays put and re-issues the same
 		// instruction next cycle; on Pending it sleeps until the memory
 		// system's callback.
-		// The port is shared with every corelet on the channel, and access
-		// order is timing-visible; during the parallel private phase global
-		// loads are parked and re-executed serially in canonical order.
-		if cl.parking {
-			st.parked = append(st.parked, parkRec{c: int32(c), k: int32(k), cyc: cyc})
-			return
-		}
 		addr := uint32(int32(a) + in.imm)
 		if in.op == isa.LDS {
 			addr = regs[isa.StreamAddr]
@@ -976,12 +836,6 @@ func (cl *Cluster) exec(c, k int, cyc int64, st *shardStats) {
 	case isa.CSRR:
 		v = cl.csr(c, k, in.imm)
 	case isa.BAR:
-		// Unreachable when parallel (hasBAR forces the serial sweep), but the
-		// park keeps exec safe under any future caller.
-		if cl.parking {
-			st.parked = append(st.parked, parkRec{c: int32(c), k: int32(k), cyc: cyc})
-			return
-		}
 		if cl.barrier != nil {
 			st.classCounts[in.class&15]++
 			ct.pc = pc + 1

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/arch"
@@ -13,6 +15,11 @@ import (
 // against the golden MapReduce reference, and the host-side Reduce output
 // must be bit-identical to the single-channel run: channel count is a timing
 // knob, never a functional one.
+//
+// The 2- and 4-channel timings are pinned too: a hash over every
+// (arch, bench, channels, Time, Cycles) tuple must equal multiChannelTiming.
+// The single-channel fabric is pinned by the BENCH baseline gate; this is
+// the only check on the per-channel harvest/deliver/issue order.
 func TestMultiChannelGoldenEquivalence(t *testing.T) {
 	archs := []string{ArchMillipede, ArchSSMC, ArchGPGPU}
 	benches := workloads.All()
@@ -26,6 +33,7 @@ func TestMultiChannelGoldenEquivalence(t *testing.T) {
 			jobs = append(jobs, job{a, b})
 		}
 	}
+	timing := make([]string, len(jobs))
 	err := runJobs(context.Background(), len(jobs), func(i int) error {
 		j := jobs[i]
 		records := recordsFor(j.b, testScale)
@@ -33,7 +41,7 @@ func TestMultiChannelGoldenEquivalence(t *testing.T) {
 		for _, ch := range []int{1, 2, 4} {
 			p := arch.Default()
 			p.Channels = ch
-			_, reduced, err := RunReduced(j.a, j.b, p, records)
+			res, reduced, err := RunReduced(j.a, j.b, p, records)
 			if err != nil {
 				t.Errorf("%s/%s @ %d channels: %v", j.a, j.b.Name(), ch, err)
 				return nil
@@ -42,6 +50,7 @@ func TestMultiChannelGoldenEquivalence(t *testing.T) {
 				baseline = reduced
 				continue
 			}
+			timing[i] += fmt.Sprintf("%s %s %d %d %d\n", j.a, j.b.Name(), ch, res.Time, res.Cycles)
 			if len(reduced) != len(baseline) {
 				t.Errorf("%s/%s @ %d channels: reduce length %d != %d",
 					j.a, j.b.Name(), ch, len(reduced), len(baseline))
@@ -60,7 +69,19 @@ func TestMultiChannelGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := fnv.New64a()
+	for _, s := range timing {
+		h.Write([]byte(s))
+	}
+	if got := h.Sum64(); got != multiChannelTiming {
+		t.Errorf("multi-channel timing hash = %#x, want %#x: 2- or 4-channel Time/Cycles moved", got, multiChannelTiming)
+	}
 }
+
+// multiChannelTiming is the hash TestMultiChannelGoldenEquivalence expects
+// over its 2- and 4-channel runs. A change that moves multi-channel timing
+// on purpose must update it and say why.
+const multiChannelTiming uint64 = 0xa49c9e06f9db6e78
 
 func TestChannelSweepShape(t *testing.T) {
 	f, err := ChannelSweep(context.Background(), arch.Default(), testScale, 0)

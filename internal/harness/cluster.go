@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/arch"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/mapreduce"
 	"repro/internal/node"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
@@ -48,30 +46,24 @@ func clusterPhases(nodes, procsPerNode int, rate float64, wordsPerProc int64, b 
 
 // clusterMap executes the Map phase over the full-scale dataset: every
 // (processor shard, thread) Source is streamed through the golden
-// per-record Fold on a fixed worker pool (the deterministic parallel
-// engine's pool), through bounded chunk buffers — memory stays constant in
-// the record count. States land in disjoint slots, so the result is
-// independent of the worker count.
-func clusterMap(b *workloads.Benchmark, shards, threads, records int, seed uint64) [][][]uint32 {
+// per-record Fold on runJobs' worker pool, through bounded chunk buffers —
+// memory stays constant in the record count. States land in disjoint slots,
+// so the result is independent of the worker count. Cancelling ctx stops
+// the Map between Sources and returns ctx.Err().
+func clusterMap(ctx context.Context, b *workloads.Benchmark, shards, threads, records int, seed uint64) ([][][]uint32, error) {
 	states := make([][][]uint32, shards)
 	for si := range states {
 		states[si] = make([][]uint32, threads)
 	}
-	total := shards * threads
-	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
-	pool := sim.NewPool(workers)
-	defer pool.Close()
-	pool.Run(func(shard int) {
-		for g := shard; g < total; g += workers {
-			si, t := g/threads, g%threads
-			src := b.Source(node.ShardSeed(seed, si), t, records)
-			states[si][t] = b.GoldenSource(src)
-		}
+	err := runJobs(ctx, shards*threads, func(g int) error {
+		si, t := g/threads, g%threads
+		states[si][t] = b.GoldenSource(b.Source(node.ShardSeed(seed, si), t, records))
+		return nil
 	})
-	return states
+	if err != nil {
+		return nil, err
+	}
+	return states, nil
 }
 
 // treeReduce merges node partial states pairwise in ceil(log2(n)) rounds —
@@ -202,7 +194,10 @@ func ClusterStudy(ctx context.Context, p arch.Params, scale float64, seed uint64
 		}
 
 		// (2) Map at cluster scale over bounded buffers.
-		states := clusterMap(b, shards, threads, perThread, seed)
+		states, err := clusterMap(ctx, b, shards, threads, perThread, seed)
+		if err != nil {
+			return nil, "", err
+		}
 
 		// Spot-check on live data: thread 0 of node 0 recomputed from a
 		// one-shot materialized stream must match the chunked fold.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/workloads"
 )
 
 // TestRunExperimentCancelled checks that a cancelled context short-circuits
@@ -58,6 +59,21 @@ func TestRunJobsErrorPriority(t *testing.T) {
 	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("runJobs: got %v, want %v", err, wantErr)
+	}
+}
+
+// TestClusterMapCancelled: the cluster study's Map phase over a 128x
+// dataset stops under a cancelled context and reports ctx.Err() instead of
+// folding every Source.
+func TestClusterMapCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	states, err := clusterMap(ctx, workloads.CountBench(), ClusterNodes, 4, 1<<20, Seed)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("clusterMap: got %v, want context.Canceled", err)
+	}
+	if states != nil {
+		t.Fatal("clusterMap returned states despite cancellation")
 	}
 }
 

@@ -115,20 +115,11 @@ type Options struct {
 	// TimelineEvery enables the cycle-domain gauge sampler at the given
 	// period (millipede-family architectures only); zero disables it.
 	TimelineEvery uint64
-	// Parallelism sets the worker count of the barrier-batched parallel
-	// cycle engine (arch.Params.Parallelism); 0 keeps the configured value
-	// (serial by default). Results are bit-identical for every value — this
-	// is a simulator-speed knob, not a model parameter.
-	Parallelism int
 	// NoSkip disables the engine's quiescence time skipping
-	// (arch.Params.NoSkip), forcing edge-by-edge dispatch. Like Parallelism
-	// it is a simulator-speed knob: results are bit-identical either way.
+	// (arch.Params.NoSkip), forcing edge-by-edge dispatch. It is a
+	// simulator-speed knob: results are bit-identical either way.
 	NoSkip bool
 }
-
-// WithParallelism returns Options running the parallel cycle engine with n
-// workers.
-func WithParallelism(n int) Options { return Options{Parallelism: n} }
 
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {
@@ -178,9 +169,6 @@ func (r *RunResult) attachMetrics(m metrics.Snapshot) {
 func RunWith(archName string, b *workloads.Benchmark, p arch.Params, records int, o Options) (RunResult, []uint32, error) {
 	ep := energy.Default()
 	seed := o.seed()
-	if o.Parallelism > 0 {
-		p.Parallelism = o.Parallelism
-	}
 	if o.NoSkip {
 		p.NoSkip = true
 	}

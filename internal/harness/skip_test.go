@@ -48,29 +48,6 @@ func TestSkipBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSkipParallelBitIdentical crosses the two speed knobs: skipping under
-// the 4-worker barrier-batched engine must match the serial edge-by-edge
-// run. The pool runs inside component Ticks while skip windows are agreed in
-// the serial engine loop between them, so the shards see identical batch
-// boundaries by construction — this pins that down.
-func TestSkipParallelBitIdentical(t *testing.T) {
-	p := arch.Default()
-	b := workloads.CountBench()
-	for _, a := range []string{ArchMillipede, ArchSSMC} {
-		ref, _, err := RunWith(a, b, p, 32, Options{Parallelism: 1, NoSkip: true})
-		if err != nil {
-			t.Fatalf("%s serial noskip: %v", a, err)
-		}
-		got, _, err := RunWith(a, b, p, 32, Options{Parallelism: 4})
-		if err != nil {
-			t.Fatalf("%s par=4 skip: %v", a, err)
-		}
-		if got.Metrics.Render() != ref.Metrics.Render() {
-			t.Errorf("%s: 4-worker skip snapshot differs from serial edge-by-edge", a)
-		}
-	}
-}
-
 // TestSkipPropertyRandomRuns samples random kernel x architecture x seed
 // triples (testing/quick drives the selection) and requires byte-identical
 // snapshots and tick counts between skip-on and skip-off runs. Random seeds

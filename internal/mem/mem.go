@@ -82,11 +82,6 @@ type System struct {
 	rowBytes int64
 	chans    []channel
 	store    *dram.DRAM
-	// Intra-cycle parallelism (SetWorkers): pool shards the Harvest sweep
-	// across channels; harvest is the bound method dispatched each cycle so
-	// the steady-state tick allocates nothing.
-	pool    *sim.Pool
-	harvest func(shard int)
 }
 
 // New builds a system of the given channel count, each channel an FR-FCFS
@@ -151,47 +146,22 @@ func (s *System) Enqueue(r Request) bool {
 	return s.chans[ch].ctl.Enqueue(memctrl.Request{Addr: local, Bytes: r.Bytes, Done: r.Done})
 }
 
-// SetWorkers shards the multi-channel tick across pool. Only the Harvest
-// sweep — which touches controller-private state — runs on the workers;
-// Deliver (client callbacks, which may re-enter Enqueue on any channel) and
-// Issue always run serially in ascending channel order at the batch barrier,
-// so results are bit-identical for every worker count. Pass nil to restore
-// the serial tick. No effect on a 1-channel system, whose tick is already a
-// single controller.
-func (s *System) SetWorkers(pool *sim.Pool) {
-	s.pool = pool
-	s.harvest = nil
-	if pool != nil {
-		s.harvest = func(shard int) {
-			for i := shard; i < len(s.chans); i += s.pool.Workers() {
-				s.chans[i].ctl.Harvest()
-			}
-		}
-	}
-}
-
 // Tick implements Port: it advances every channel one channel clock cycle.
 //
 // The schedule is harvest-all, deliver-all, issue-all: completions are first
-// harvested on every channel (parallelizable — controller-private state
-// only), then delivered and issued serially in ascending channel order. A
-// delivery callback that re-enters Enqueue therefore always lands after
-// every channel's harvest and before that channel's issue, regardless of
-// which channel it came from — one canonical order, identical for any worker
-// count. With one channel this collapses to the plain controller tick
-// (harvest, deliver, issue on the same controller), which is cycle-identical
-// to the historical inline path.
+// harvested on every channel, then delivered and issued in ascending channel
+// order. A delivery callback that re-enters Enqueue therefore always lands
+// after every channel's harvest and before that channel's issue, regardless
+// of which channel it came from — one canonical order. With one channel this
+// collapses to the plain controller tick (harvest, deliver, issue on the
+// same controller), which is cycle-identical to the historical inline path.
 func (s *System) Tick() {
 	if s.n == 1 {
 		s.chans[0].ctl.Tick()
 		return
 	}
-	if s.pool != nil {
-		s.pool.Run(s.harvest)
-	} else {
-		for i := range s.chans {
-			s.chans[i].ctl.Harvest()
-		}
+	for i := range s.chans {
+		s.chans[i].ctl.Harvest()
 	}
 	for i := range s.chans {
 		s.chans[i].ctl.Deliver()

@@ -247,10 +247,9 @@ func (c *Controller) Enqueue(r Request) bool {
 // FR-FCFS (first ready row hit, else oldest ready).
 //
 // Tick is equivalent to Harvest(); Deliver(); Issue(). The split exists for
-// the multi-channel fabric's batch-parallel schedule: Harvest touches only
-// controller-private state and may run concurrently across channels, while
-// Deliver (which runs client callbacks) and Issue are applied serially at
-// the batch barrier in canonical channel order.
+// the multi-channel fabric's schedule: it harvests every channel before
+// delivering any, then delivers and issues in canonical channel order (see
+// mem.System.Tick).
 func (c *Controller) Tick() {
 	c.Harvest()
 	c.Deliver()

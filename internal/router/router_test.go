@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,6 +160,25 @@ func TestRoutingConsistencyAndFailover(t *testing.T) {
 	// A garbage body never reaches a worker: the router canonicalizes first.
 	if code := postBody(t, rt, `{"experiment":"nope"}`); code != http.StatusBadRequest {
 		t.Errorf("unknown experiment: HTTP %d, want 400", code)
+	}
+	// So does a body with a key the job API does not know, inside params as
+	// at the top level; the 400 names the key.
+	for key, body := range map[string]string{
+		"Corelet":     `{"experiment":"ablation","params":{"Corelet":64}}`,
+		"RowByte":     `{"experiment":"ablation","params":{"DRAM":{"RowByte":4096}}}`,
+		"parallelism": `{"experiment":"ablation","parallelism":4}`,
+		"Parallelism": `{"experiment":"ablation","params":{"Parallelism":4}}`,
+	} {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+		var eb struct{ Error string }
+		json.Unmarshal(rec.Body.Bytes(), &eb)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(eb.Error, `"`+key+`"`) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming %q", body, rec.Code, rec.Body, key)
+		}
+	}
+	if got := survivor.postCount(); got != 1 {
+		t.Errorf("survivor received %d posts after the rejected bodies, want 1", got)
 	}
 }
 

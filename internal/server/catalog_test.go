@@ -60,7 +60,7 @@ func TestParamDescriptorShape(t *testing.T) {
 
 	for _, e := range entries {
 		ds := descriptors(e)
-		for _, universal := range []string{"params", "seed", "timeout_ms", "parallelism", "skip",
+		for _, universal := range []string{"params", "seed", "timeout_ms", "skip",
 			"stack_mode", "stack_bytes", "backing_bytes", "backing_latency"} {
 			if _, ok := ds[universal]; !ok {
 				t.Errorf("%s: missing universal descriptor %q", e.Name, universal)
@@ -94,8 +94,8 @@ func TestParamDescriptorShape(t *testing.T) {
 			}
 		}
 	}
-	if ds := descriptors(byName["table3"]); len(ds) != 9 {
-		t.Errorf("table3 reads no options, want only the 9 universal descriptors, got %d", len(ds))
+	if ds := descriptors(byName["table3"]); len(ds) != 8 {
+		t.Errorf("table3 reads no options, want only the 8 universal descriptors, got %d", len(ds))
 	}
 }
 

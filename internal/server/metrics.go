@@ -7,7 +7,6 @@ package server
 func (s *Server) registerMetrics() {
 	r := s.reg
 	r.Gauge("server.workers", func() float64 { return float64(s.pool.Workers()) })
-	r.Gauge("server.engine_parallelism", func() float64 { return float64(s.par) })
 	r.Gauge("server.engine_skip", func() float64 {
 		if s.noskip {
 			return 0

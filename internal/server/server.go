@@ -72,20 +72,14 @@ type jobRequest struct {
 	HostBandwidthGBs float64         `json:"host_bandwidth_gbs,omitempty"`
 	TimelineEvery    uint64          `json:"timeline_every,omitempty"`
 	TimeoutMS        int64           `json:"timeout_ms,omitempty"`
-	// Parallelism picks the worker count of the deterministic parallel cycle
-	// engine for this job (0 = the server default). Like timeout_ms it is an
-	// operational knob, not part of the canonical form: every value produces
-	// bit-identical results, so ids and cache entries are shared across
-	// parallelism settings.
-	Parallelism int `json:"parallelism,omitempty"`
 	// Skip picks the engine's quiescence time skipping for this job: "on",
 	// "off", or "" for the server default. Skipping is bit-identical either
-	// way — a wall-clock knob like parallelism — so it too is stripped from
-	// the canonical form; ids and cached bodies are shared across settings.
+	// way — an operational knob like timeout_ms — so it is stripped from the
+	// canonical form; ids and cached bodies are shared across settings.
 	Skip string `json:"skip,omitempty"`
 	// Nodes and Processors set the cluster experiment's geometry (0 = the
-	// historical 4 nodes x 1 processor). Unlike parallelism they change what
-	// is simulated, so they are part of the canonical form.
+	// historical 4 nodes x 1 processor). Unlike skip they change what is
+	// simulated, so they are part of the canonical form.
 	Nodes      int `json:"nodes,omitempty"`
 	Processors int `json:"processors,omitempty"`
 	// StackMode, StackBytes, BackingBytes, and BackingLatency are top-level
@@ -118,10 +112,6 @@ type Options struct {
 	// millid store daemon, via rescache.NewHTTPTier, or an in-process
 	// rescache.Store); nil keeps the cache single-tier.
 	Shared rescache.SharedTier
-	// Parallelism is the default worker count of the deterministic parallel
-	// cycle engine for jobs that do not set "parallelism" themselves (0 or 1
-	// = serial). Results are bit-identical for every value.
-	Parallelism int
 	// NoSkip disables the engine's quiescence time skipping by default for
 	// jobs that do not set "skip" themselves. Results are bit-identical
 	// either way; skipping only changes wall-clock time.
@@ -144,7 +134,6 @@ type jobRecord struct {
 	ID          string
 	Req         Request
 	Timeout     time.Duration
-	Parallelism int  // effective engine worker count (operational, like Timeout)
 	NoSkip      bool // effective time-skipping setting (operational, like Timeout)
 	Status      jobStatus
 	Error       string
@@ -165,7 +154,6 @@ type Server struct {
 	reg      *metrics.Registry
 	run      Runner
 	timeout  time.Duration
-	par      int  // default cycle-engine parallelism for jobs that set none
 	noskip   bool // default time-skipping off-switch for jobs that set none
 	expNames map[string]bool
 
@@ -195,7 +183,6 @@ func New(base arch.Params, o Options) *Server {
 		cache:    rescache.New(cacheEntries),
 		run:      o.Runner,
 		timeout:  o.DefaultTimeout,
-		par:      o.Parallelism,
 		noskip:   o.NoSkip,
 		expNames: map[string]bool{},
 		jobsByID: map[string]*jobRecord{},
@@ -263,9 +250,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // normalize validates the wire request and produces its canonical form plus
-// the operational knobs (timeout, engine parallelism, time skipping) that
-// ride alongside it.
-func (s *Server) normalize(jr jobRequest) (Request, time.Duration, int, bool, error) {
+// the operational knobs (timeout, time skipping) that ride alongside it.
+func (s *Server) normalize(jr jobRequest) (Request, time.Duration, bool, error) {
 	return canonicalize(s.base, s.expNames, s.timeout, jr)
 }
 
@@ -286,7 +272,7 @@ func CanonicalID(base arch.Params, body []byte) (string, error) {
 	if err := dec.Decode(&jr); err != nil {
 		return "", fmt.Errorf("bad request body: %w", err)
 	}
-	req, _, _, _, err := canonicalize(base, canonNames, 0, jr)
+	req, _, _, err := canonicalize(base, canonNames, 0, jr)
 	if err != nil {
 		return "", err
 	}
@@ -300,32 +286,33 @@ var (
 
 // canonicalize validates one wire request against the experiment set and
 // produces its canonical form over the base configuration.
-func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Duration, jr jobRequest) (Request, time.Duration, int, bool, error) {
+func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Duration, jr jobRequest) (Request, time.Duration, bool, error) {
 	if !expNames[jr.Experiment] {
-		return Request{}, 0, 0, false, fmt.Errorf("unknown experiment %q (see GET /v1/experiments)", jr.Experiment)
+		return Request{}, 0, false, fmt.Errorf("unknown experiment %q (see GET /v1/experiments)", jr.Experiment)
 	}
 	if jr.Scale < 0 || math.IsInf(jr.Scale, 0) {
-		return Request{}, 0, 0, false, fmt.Errorf("bad scale %g", jr.Scale)
+		return Request{}, 0, false, fmt.Errorf("bad scale %g", jr.Scale)
 	}
 	if jr.TimeoutMS < 0 {
-		return Request{}, 0, 0, false, fmt.Errorf("bad timeout_ms %d", jr.TimeoutMS)
-	}
-	if jr.Parallelism < 0 {
-		return Request{}, 0, 0, false, fmt.Errorf("bad parallelism %d", jr.Parallelism)
+		return Request{}, 0, false, fmt.Errorf("bad timeout_ms %d", jr.TimeoutMS)
 	}
 	if jr.HostBandwidthGBs < 0 {
-		return Request{}, 0, 0, false, fmt.Errorf("bad host_bandwidth_gbs %g", jr.HostBandwidthGBs)
+		return Request{}, 0, false, fmt.Errorf("bad host_bandwidth_gbs %g", jr.HostBandwidthGBs)
 	}
 	if jr.Nodes < 0 || jr.Nodes > 64 {
-		return Request{}, 0, 0, false, fmt.Errorf("bad nodes %d (want 0..64)", jr.Nodes)
+		return Request{}, 0, false, fmt.Errorf("bad nodes %d (want 0..64)", jr.Nodes)
 	}
 	if jr.Processors < 0 || jr.Processors > 32 {
-		return Request{}, 0, 0, false, fmt.Errorf("bad processors %d (want 0..32)", jr.Processors)
+		return Request{}, 0, false, fmt.Errorf("bad processors %d (want 0..32)", jr.Processors)
 	}
 	p := base
 	if len(jr.Params) > 0 {
-		if err := json.Unmarshal(jr.Params, &p); err != nil {
-			return Request{}, 0, 0, false, fmt.Errorf("bad params: %v", err)
+		// Unknown keys are errors, as at the top level: a misspelled field
+		// would otherwise silently simulate (and cache) the base config.
+		dec := json.NewDecoder(bytes.NewReader(jr.Params))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&p); err != nil {
+			return Request{}, 0, false, fmt.Errorf("bad params: %v", err)
 		}
 	}
 	// The top-level stack knobs are conveniences over the same Params
@@ -345,22 +332,14 @@ func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Du
 	}
 	if len(jr.Params) > 0 || stacked {
 		if err := p.Validate(); err != nil {
-			return Request{}, 0, 0, false, fmt.Errorf("bad params: %v", err)
+			return Request{}, 0, false, fmt.Errorf("bad params: %v", err)
 		}
 	}
-	// Engine parallelism never changes what is simulated (results are
-	// bit-identical at every worker count), so it is stripped from the
-	// canonical form — identical simulations share one id and one cache
-	// entry regardless of how many workers execute them. The top-level
-	// field wins over a value smuggled in via params.
-	par := p.Parallelism
-	if jr.Parallelism > 0 {
-		par = jr.Parallelism
-	}
-	p.Parallelism = 0
-	// Quiescence time skipping is the same kind of knob: bit-identical on or
-	// off, so "skip" is validated here and stripped from the canonical form.
-	// The top-level field wins over a NoSkip smuggled in via params.
+	// Quiescence time skipping never changes what is simulated (results are
+	// bit-identical on or off), so "skip" is validated here and stripped
+	// from the canonical form — identical simulations share one id and one
+	// cache entry. The top-level field wins over a NoSkip smuggled in via
+	// params.
 	noskip := p.NoSkip
 	switch jr.Skip {
 	case "":
@@ -369,7 +348,7 @@ func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Du
 	case "off":
 		noskip = true
 	default:
-		return Request{}, 0, 0, false, fmt.Errorf("bad skip %q (want \"on\" or \"off\")", jr.Skip)
+		return Request{}, 0, false, fmt.Errorf("bad skip %q (want \"on\" or \"off\")", jr.Skip)
 	}
 	p.NoSkip = false
 	req := Request{
@@ -408,7 +387,7 @@ func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Du
 	if jr.TimeoutMS > 0 {
 		timeout = time.Duration(jr.TimeoutMS) * time.Millisecond
 	}
-	return req, timeout, par, noskip, nil
+	return req, timeout, noskip, nil
 }
 
 // statusBody is the job-status wire form (POST /v1/jobs, GET /v1/jobs/{id}).
@@ -460,13 +439,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	req, timeout, par, noskip, err := s.normalize(jr)
+	req, timeout, noskip, err := s.normalize(jr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if par == 0 {
-		par = s.par
 	}
 	if jr.Skip == "" && !noskip {
 		noskip = s.noskip
@@ -507,7 +483,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	rec = &jobRecord{
-		ID: id, Req: req, Timeout: timeout, Parallelism: par, NoSkip: noskip,
+		ID: id, Req: req, Timeout: timeout, NoSkip: noskip,
 		Status: statusQueued, SubmittedAt: time.Now(), seq: s.seq,
 	}
 	s.jobsByID[id] = rec
@@ -542,15 +518,13 @@ func (s *Server) execute(ctx context.Context, id string) {
 	rec.Status = statusRunning
 	rec.StartedAt = time.Now()
 	req := rec.Req
-	par := rec.Parallelism
 	noskip := rec.NoSkip
 	s.mu.Unlock()
 
-	// The engine worker count is applied to the run only — the canonical
-	// request (and therefore the rendered result, which embeds it) stays
-	// parallelism-free so cache bodies are byte-identical across settings.
+	// The skip setting is applied to the run only — the canonical request
+	// (and therefore the rendered result, which embeds it) stays skip-free
+	// so cache bodies are byte-identical across settings.
 	runReq := req
-	runReq.Params.Parallelism = par
 	runReq.Params.NoSkip = noskip
 
 	// DoContext: if this job's ctx ends while an identical computation is in

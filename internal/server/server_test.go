@@ -407,7 +407,6 @@ func TestValidation(t *testing.T) {
 		"unknown experiment": {"experiment": "no-such"},
 		"negative scale":     {"experiment": "fig3", "scale": -1},
 		"negative timeout":   {"experiment": "fig3", "timeout_ms": -5},
-		"bad parallelism":    {"experiment": "fig3", "parallelism": -2},
 		"negative seed":      {"experiment": "fig3", "seed": -7},
 		"bad skip":           {"experiment": "fig3", "skip": "sideways"},
 		"unknown field":      {"experiment": "fig3", "bogus": true},
@@ -415,6 +414,29 @@ func TestValidation(t *testing.T) {
 	} {
 		if code, _ := postJob(t, ts, req); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, code)
+		}
+	}
+	// An unknown key answers 400 naming it, inside params as at the top
+	// level: a misspelled override must not silently run the base config.
+	// "parallelism" is a removed knob that older clients may still send.
+	for name, tc := range map[string]struct {
+		req map[string]any
+		key string
+	}{
+		"params typo":           {map[string]any{"experiment": "fig3", "params": map[string]any{"Corelet": 64}}, "Corelet"},
+		"nested params typo":    {map[string]any{"experiment": "fig3", "params": map[string]any{"DRAM": map[string]any{"RowByte": 4096}}}, "RowByte"},
+		"top-level parallelism": {map[string]any{"experiment": "fig3", "parallelism": 4}, "parallelism"},
+		"params parallelism":    {map[string]any{"experiment": "fig3", "params": map[string]any{"Parallelism": 4}}, "Parallelism"},
+	} {
+		code, data := doJSON(t, "POST", ts.URL+"/v1/jobs", tc.req)
+		var eb struct{ Error string }
+		json.Unmarshal(data, &eb)
+		if code != http.StatusBadRequest || !strings.Contains(eb.Error, `"`+tc.key+`"`) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming %q", name, code, data, tc.key)
+		}
+		body, _ := json.Marshal(tc.req)
+		if _, err := server.CanonicalID(arch.Default(), body); err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Errorf("%s: CanonicalID error %v, want one naming %q", name, err, tc.key)
 		}
 	}
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/deadbeef", nil); code != http.StatusNotFound {
@@ -447,27 +469,8 @@ func TestParamsOverride(t *testing.T) {
 	}
 }
 
-// TestParallelismOperational: the engine worker count is an operational knob
-// like timeout_ms — requests that differ only in parallelism (top-level or
-// smuggled through params) share one job id, one simulation, and one cache
-// entry, because every worker count produces bit-identical results.
-func TestParallelismOperational(t *testing.T) {
-	g := newGateRunner()
-	defer close(g.gate)
-	_, ts := newTestServer(t, server.Options{Runner: g.run})
-	_, a := postJob(t, ts, map[string]any{"experiment": "fig3"})
-	_, b := postJob(t, ts, map[string]any{"experiment": "fig3", "parallelism": 8})
-	_, c := postJob(t, ts, map[string]any{"experiment": "fig3", "params": map[string]any{"Parallelism": 4}})
-	if a.ID != b.ID {
-		t.Fatal("top-level parallelism changed the job id; it must stay operational")
-	}
-	if a.ID != c.ID {
-		t.Fatal("params.Parallelism changed the job id; canonicalization must strip it")
-	}
-}
-
-// TestSkipOperational: quiescence time skipping is the other operational
-// knob — requests that differ only in the skip setting (top-level or a
+// TestSkipOperational: quiescence time skipping is an operational knob like
+// timeout_ms — requests that differ only in the skip setting (top-level or a
 // NoSkip smuggled through params) share one job id and one cache entry,
 // because skipping is bit-identical on or off.
 func TestSkipOperational(t *testing.T) {

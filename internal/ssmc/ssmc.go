@@ -136,15 +136,9 @@ func NewProcessor(p arch.Params, ep energy.Params, l core.Launch) (*Processor, e
 		LocalBytes: p.LocalBytes,
 		Latencies:  p.Latencies,
 	}
-	if node.Pool != nil {
-		clcfg.Shards = node.Pool.Workers()
-	}
 	pr.cluster, err = corelet.NewCluster(clcfg, code, ports, read)
 	if err != nil {
 		return nil, err
-	}
-	if node.Pool != nil {
-		pr.cluster.SetWorkers(node.Pool)
 	}
 	for c := 0; c < p.Corelets; c++ {
 		for i, w := range l.Args {
