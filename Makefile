@@ -29,7 +29,12 @@ test:
 #     byte-identical to a one-shot materialization;
 #   TestStreamingConstantMemory — folding an 800x dataset through bounded
 #     buffers must not grow the heap (streamed inputs are O(chunk), never
-#     O(records)).
+#     O(records));
+#   TestRunResultsPinned — every architecture's full result (timing, energy,
+#     memory and stack counters, metrics, reduced output) matches a pinned
+#     hash.
+# It also vets and tests the bench/ module (millibench), which imports the
+# processor models and the harness and so breaks when their API does.
 #
 # The harness race suite runs ~10 minutes of simulation wall time on its
 # own (the alloc-free and bit-identity gates each replay full benchmark
@@ -41,6 +46,7 @@ check:
 		./internal/corelet ./internal/mem ./internal/memctrl ./internal/stack \
 		./internal/datagen ./internal/workloads \
 		./internal/jobs ./internal/rescache ./internal/server ./internal/router ./internal/sla
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem

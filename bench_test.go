@@ -114,7 +114,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	const records = 1024
 	words := float64(p.Threads() * w.StreamWords(records))
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.Run(harness.ArchMillipede, w, p, records); err != nil {
+		if _, _, err := harness.Run(harness.ArchMillipede, w, p, records, harness.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func benchOne(b *testing.B, archName, bench string) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := harness.Run(archName, w, p, 256); err != nil {
+		if _, _, err := harness.Run(archName, w, p, 256, harness.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

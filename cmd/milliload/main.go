@@ -31,7 +31,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,6 +39,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -159,7 +159,6 @@ func (g *loadgen) runStep(rate float64, d time.Duration, rng *datagen.RNG) (harn
 	}
 	delta := metrics.Diff(after, before)
 
-	sort.Float64s(latencies)
 	hits := delta.Value("server.cache_hits")
 	shared := delta.Value("server.cache_shared_hits")
 	misses := delta.Value("server.cache_misses")
@@ -173,13 +172,13 @@ func (g *loadgen) runStep(rate float64, d time.Duration, rng *datagen.RNG) (harn
 	}
 	waitH, _ := delta.Get("server.job_wait_ms")
 	runH, _ := delta.Get("server.job_run_ms")
-	histLat := addBuckets(waitH.Buckets, runH.Buckets)
+	histLat := metrics.AddBuckets(waitH.Buckets, runH.Buckets)
 
 	row := harness.Row{Bench: fmt.Sprintf("%grps", rate), Values: map[string]float64{
 		"offered_rps":  rate,
 		"achieved_rps": float64(len(latencies)) / elapsed,
-		"p50_ms":       percentile(latencies, 0.50),
-		"p99_ms":       percentile(latencies, 0.99),
+		"p50_ms":       stats.Percentile(latencies, 0.50),
+		"p99_ms":       stats.Percentile(latencies, 0.99),
 		"hist_p50_ms":  metrics.Pow2BucketPercentile(histLat, 0.50),
 		"hist_p99_ms":  metrics.Pow2BucketPercentile(histLat, 0.99),
 		"hit_rate":     hitRate,
@@ -258,69 +257,24 @@ func (g *loadgen) aggregate() (metrics.Snapshot, error) {
 		var samples []struct {
 			Name    string   `json:"name"`
 			Kind    string   `json:"kind"`
-			Value   *float64 `json:"value"`
+			Value   float64  `json:"value"`
 			Buckets []uint64 `json:"buckets"`
 		}
 		if err := json.Unmarshal(data, &samples); err != nil {
 			return out, err
 		}
+		var node metrics.Snapshot
 		for _, s := range samples {
-			sm := metrics.Sample{Name: s.Name}
+			sm := metrics.Sample{Name: s.Name, Kind: metrics.Gauge, Value: s.Value, Buckets: s.Buckets}
 			switch s.Kind {
 			case "counter":
 				sm.Kind = metrics.Counter
 			case "histogram":
 				sm.Kind = metrics.Histogram
-			default:
-				sm.Kind = metrics.Gauge
 			}
-			if prev, ok := out.Get(s.Name); ok {
-				if sm.Kind == metrics.Histogram {
-					sm.Buckets = addBuckets(prev.Buckets, s.Buckets)
-				} else if s.Value != nil {
-					sm.Value = prev.Value + *s.Value
-				}
-			} else {
-				sm.Buckets = s.Buckets
-				if s.Value != nil {
-					sm.Value = *s.Value
-				}
-			}
-			out.Put(sm)
+			node.Put(sm)
 		}
+		out = metrics.Sum(out, node)
 	}
 	return out, nil
-}
-
-func addBuckets(a, b []uint64) []uint64 {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		if i < len(a) {
-			out[i] += a[i]
-		}
-		if i < len(b) {
-			out[i] += b[i]
-		}
-	}
-	return out
-}
-
-// percentile returns the q-quantile of sorted xs in the same unit (ms), 0
-// if empty.
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(xs))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(xs) {
-		i = len(xs) - 1
-	}
-	return xs[i]
 }

@@ -4,7 +4,11 @@
 // Usage:
 //
 //	millisim [-arch millipede] [-bench kmeans] [-records 512] [-corelets 32] [-buffers 16]
+//	millisim -trace 40 [-arch millipede] [-bench count] ...
 //	millisim -trace-out trace.json [-arch millipede] [-bench count] ...
+//
+// -trace N prints the first N events of the run's event stream instead of
+// the measurement.
 //
 // -trace-out records the run's event stream (corelet 0's instructions,
 // prefetch/flow-control/starve/evict events, memory issues and row
@@ -23,13 +27,6 @@ import (
 	"strings"
 
 	millipede "repro"
-	"repro/internal/core"
-	"repro/internal/energy"
-	"repro/internal/harness"
-	"repro/internal/kernels"
-	"repro/internal/layout"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 func main() {
@@ -38,7 +35,7 @@ func main() {
 		"architecture: "+strings.Join(append(millipede.Architectures(), millipede.ArchMulticore), ", "))
 	bench := flag.String("bench", "kmeans", "benchmark: "+strings.Join(millipede.Benchmarks(), ", "))
 	records := flag.Int("records", 0, "records per hardware thread (0 = benchmark default)")
-	traceN := flag.Int("trace", 0, "print the first N trace events (millipede only)")
+	traceN := flag.Int("trace", 0, "print the first N trace events instead of the measurement (millipede family only)")
 	traceOut := flag.String("trace-out", "", "write the run's event stream as Chrome trace-event JSON to this path (millipede family only)")
 	corelets := flag.Int("corelets", 32, "corelets/lanes per processor")
 	buffers := flag.Int("buffers", 16, "prefetch buffer entries")
@@ -60,29 +57,28 @@ func main() {
 	if n == 0 {
 		n = 512
 	}
-	if *traceN > 0 {
-		if *archName != millipede.ArchMillipede {
-			log.Fatal("-trace is only supported for -arch millipede")
-		}
-		if err := runTraced(cfg, *bench, n, *traceN); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	var opts []millipede.RunOption
 	var traceLog *millipede.TraceLog
-	if *traceOut != "" {
+	if *traceN > 0 || *traceOut != "" {
 		switch *archName {
 		case millipede.ArchMillipede, millipede.ArchMillipedeNoFC, millipede.ArchMillipedeRM:
 		default:
-			log.Fatal("-trace-out is only supported for the millipede-family architectures")
+			log.Fatal("-trace and -trace-out are only supported for the millipede-family architectures")
 		}
-		traceLog = millipede.NewTraceLog(1 << 20)
+		max := 1 << 20
+		if *traceN > 0 {
+			max = *traceN
+		}
+		traceLog = millipede.NewTraceLog(max)
 		opts = append(opts, millipede.WithTraceSink(traceLog))
 	}
 	res, err := millipede.RunBenchmark(*archName, *bench, cfg, n, opts...)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *traceN > 0 {
+		fmt.Print(traceLog.Render())
+		return
 	}
 	if traceLog != nil {
 		data, err := traceLog.ChromeJSON(1e12 / cfg.ComputeHz)
@@ -121,34 +117,4 @@ func main() {
 	fmt.Printf("energy              %.3f uJ (core %.3f / dram %.3f / leak %.3f)\n",
 		res.Energy.TotalPJ()/1e6, res.Energy.CorePJ/1e6, res.Energy.DRAMPJ/1e6, res.Energy.LeakPJ/1e6)
 	fmt.Println("golden check        PASS (enforced)")
-}
-
-// runTraced executes the benchmark on Millipede with event tracing of
-// corelet 0 and the prefetch buffer, printing the first n events.
-func runTraced(cfg millipede.Config, bench string, records, n int) error {
-	b, err := workloads.ByName(bench)
-	if err != nil {
-		return err
-	}
-	lay := layout.Layout{RowBytes: cfg.DRAM.RowBytes, Corelets: cfg.Corelets,
-		Contexts: cfg.Contexts, Interleave: layout.Slab}
-	sl, err := kernels.LocalState(b.K, cfg.LocalBytes, cfg.Contexts)
-	if err != nil {
-		return err
-	}
-	args := kernels.ArgsAndConsts(b.K, lay.Walk(), sl, records)
-	pr, err := core.NewProcessor(cfg, energy.Default(), core.Launch{
-		Prog: b.K.Prog, Interleave: layout.Slab,
-		Sources: b.Sources(cfg.Threads(), records, harness.Seed), Args: args,
-	})
-	if err != nil {
-		return err
-	}
-	l := trace.NewLog(n)
-	pr.EnableTrace(l, 0)
-	if _, err := pr.Run(0); err != nil {
-		return err
-	}
-	fmt.Print(l.Render())
-	return nil
 }

@@ -5,7 +5,9 @@ import (
 	"runtime"
 
 	"repro/internal/dram"
+	"repro/internal/energy"
 	"repro/internal/mem"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stack"
 )
@@ -14,6 +16,64 @@ import (
 type ComputeUnit interface {
 	Tick(now sim.Time)
 	Halted() bool
+}
+
+// DRAMStats is the fabric's row-buffer and bandwidth counter block,
+// aggregated across channels.
+type DRAMStats struct {
+	RowHits, RowMisses uint64
+	BytesRead          uint64
+	Requests           uint64
+}
+
+// RowMissRate returns misses / (hits + misses).
+func (d DRAMStats) RowMissRate() float64 {
+	t := d.RowHits + d.RowMisses
+	if t == 0 {
+		return 0
+	}
+	return float64(d.RowMisses) / float64(t)
+}
+
+// MemStats is the memory-controller counter block, aggregated across
+// channels (MaxOccupancy is the max over channels).
+type MemStats struct {
+	StallCycles  uint64
+	MaxOccupancy int
+	Rejected     uint64
+}
+
+// RunStats is the result every processor model shares: each model's Result
+// embeds it. Node.Run fills the time, the memory-side counters, the engine's
+// allocation and skip counters and the metrics snapshot; the model fills
+// ComputeCycles, Insts, CondBranches, FinalHz and Energy.
+type RunStats struct {
+	Time          sim.Time
+	ComputeCycles uint64
+	Insts         uint64
+	CondBranches  uint64
+	FinalHz       float64
+	DRAM          DRAMStats
+	Mem           MemStats
+	// Stack is the die-stacked capacity backend's counter block; zero (Mode
+	// "") when the node runs the paper's pass-through machine.
+	Stack  stack.Stats
+	Energy energy.Breakdown
+	// Metrics is the registry snapshot taken at run end: the fabric, the
+	// stack backend and every probe the model registered.
+	Metrics metrics.Snapshot
+	// Allocs and AllocBytes are the heap allocations (count and bytes, from
+	// runtime.MemStats, all goroutines) made inside the cycle loop. The
+	// models are designed to allocate nothing in steady state; benchreport
+	// records these per run so a regression is visible in the benchmark
+	// trajectory.
+	Allocs     uint64
+	AllocBytes uint64
+	// SkippedEdges and SkipWindows report how much of the run the quiescence
+	// fast-forward elided (informational only: results are bit-identical
+	// with skipping on or off).
+	SkippedEdges uint64
+	SkipWindows  uint64
 }
 
 // Node is one PNM node: the two clock domains and the die-stacked memory
@@ -34,19 +94,11 @@ type Node struct {
 	Stack     stack.Backend
 	Compute   *sim.Domain
 	MemDomain *sim.Domain
-	// RunAllocs and RunBytes are the heap allocations (count and bytes, from
-	// runtime.MemStats, all goroutines) made inside the last Run's cycle
-	// loop. The interpreter is designed to allocate nothing in steady state;
-	// benchreport records these per run so a regression is visible in the
-	// benchmark trajectory.
-	RunAllocs uint64
-	RunBytes  uint64
-	// RunSkippedEdges and RunSkipWindows report how much of the last Run the
-	// quiescence fast-forward elided (informational only: tick totals and
-	// results are bit-identical with skipping on or off).
-	RunSkippedEdges uint64
-	RunSkipWindows  uint64
-	unit            ComputeUnit
+	// Metrics holds lazy getter closures over the component stats; it is
+	// evaluated only when Run ends, never on the cycle path. NewNode
+	// registers the fabric and the stack backend; each model adds its own.
+	Metrics *metrics.Registry
+	unit    ComputeUnit
 }
 
 // NewNode builds the memory side; AttachCompute must be called before Run.
@@ -58,8 +110,10 @@ func NewNode(p Params, capacityBytes int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{Params: p, Engine: sim.NewEngine(), Mem: m, DRAM: m.Store(), Port: m}
+	n := &Node{Params: p, Engine: sim.NewEngine(), Mem: m, DRAM: m.Store(), Port: m,
+		Metrics: metrics.NewRegistry()}
 	n.Engine.SetSkip(!p.NoSkip)
+	m.RegisterMetrics(n.Metrics)
 	// A capacity discipline wraps the fabric only when it changes behavior:
 	// hwcache/memcache always do; memory mode only once the dataset spills
 	// past the stack. The pass-through path below is byte-for-byte today's
@@ -87,6 +141,7 @@ func NewNode(p Params, capacityBytes int) (*Node, error) {
 			return nil, err
 		}
 		n.Port = n.Stack
+		stack.RegisterMetrics(n.Metrics, n.Stack)
 	}
 	// The memory clock registers through a quiescence-aware ticker so the
 	// engine sees the fabric's probes (a bare TickFunc would opt the domain
@@ -129,12 +184,12 @@ func (n *Node) AttachCompute(unit ComputeUnit) error {
 	return nil
 }
 
-// Run advances the simulation until the compute unit halts. The limit
-// guards against kernel deadlocks in development; pass 0 for the default
-// (10 simulated seconds).
-func (n *Node) Run(limit sim.Time) (sim.Time, error) {
+// Run advances the simulation until the compute unit halts and returns the
+// node's share of the result. The limit guards against kernel deadlocks in
+// development; pass 0 for the default (10 simulated seconds).
+func (n *Node) Run(limit sim.Time) (RunStats, error) {
 	if n.unit == nil {
-		return 0, fmt.Errorf("arch: no compute unit attached")
+		return RunStats{}, fmt.Errorf("arch: no compute unit attached")
 	}
 	if limit == 0 {
 		limit = 10 * sim.Second
@@ -143,8 +198,23 @@ func (n *Node) Run(limit sim.Time) (sim.Time, error) {
 	runtime.ReadMemStats(&ms)
 	m0, b0 := ms.Mallocs, ms.TotalAlloc
 	t, err := n.Engine.Run(limit, n.unit.Halted)
+	if err != nil {
+		return RunStats{}, err
+	}
 	runtime.ReadMemStats(&ms)
-	n.RunAllocs, n.RunBytes = ms.Mallocs-m0, ms.TotalAlloc-b0
-	n.RunSkippedEdges, n.RunSkipWindows = n.Engine.SkippedEdges(), n.Engine.SkipWindows()
-	return t, err
+	ds, cs := n.Mem.DRAMStats(), n.Mem.CtlStats()
+	r := RunStats{
+		Time:         t,
+		DRAM:         DRAMStats{RowHits: ds.RowHits, RowMisses: ds.RowMisses, BytesRead: ds.BytesRead, Requests: ds.Requests},
+		Mem:          MemStats{StallCycles: cs.StallCycles, MaxOccupancy: cs.MaxOccupancy, Rejected: cs.Rejected},
+		Allocs:       ms.Mallocs - m0,
+		AllocBytes:   ms.TotalAlloc - b0,
+		SkippedEdges: n.Engine.SkippedEdges(),
+		SkipWindows:  n.Engine.SkipWindows(),
+	}
+	if n.Stack != nil {
+		r.Stack = n.Stack.Stats()
+	}
+	r.Metrics = n.Metrics.Snapshot()
+	return r, nil
 }

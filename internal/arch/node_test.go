@@ -30,12 +30,15 @@ func TestNodeLifecycle(t *testing.T) {
 	if err := n.AttachCompute(u); err == nil {
 		t.Error("double attach accepted")
 	}
-	now, err := n.Run(0)
+	r, err := n.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.ticks != 100 || now <= 0 {
-		t.Errorf("ticks=%d now=%d", u.ticks, now)
+	if u.ticks != 100 || r.Time <= 0 {
+		t.Errorf("ticks=%d now=%d", u.ticks, r.Time)
+	}
+	if r.Metrics.Value("mem.channels") != 1 {
+		t.Errorf("node snapshot lacks the fabric's metrics: %q", r.Metrics.Render())
 	}
 }
 

@@ -178,7 +178,7 @@ func Collect(p arch.Params, archs []string, scale float64) (*Report, error) {
 			gc := debug.SetGCPercent(-1)
 			runtime.GC()
 			t0 := time.Now()
-			res, err := harness.Run(a, b, p, records)
+			res, _, err := harness.Run(a, b, p, records, harness.Options{})
 			wall := time.Since(t0).Seconds()
 			debug.SetGCPercent(gc)
 			if err != nil {

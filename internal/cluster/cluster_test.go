@@ -32,7 +32,7 @@ func TestValidate(t *testing.T) {
 func TestPaperSection4DOrdering(t *testing.T) {
 	p := arch.Default()
 	b := workloads.CountBench()
-	r, err := harness.Run(harness.ArchMillipede, b, p, 1024)
+	r, _, err := harness.Run(harness.ArchMillipede, b, p, 1024, harness.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

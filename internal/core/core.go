@@ -25,7 +25,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/stack"
 	"repro/internal/trace"
 )
 
@@ -103,58 +102,18 @@ func (l Launch) PackInput(lay layout.Layout) ([]uint32, error) {
 	return lay.PackFrom(n, func(t int, buf []uint32) int { return l.Sources[t].Next(buf) })
 }
 
-// Result aggregates one run.
+// Result aggregates one run: the node-level counters every model shares
+// plus Millipede's own.
 type Result struct {
-	Time          sim.Time
-	ComputeCycles uint64
-	Cores         corelet.Stats
-	Prefetch      prefetch.Stats
-	DRAM          DRAMStats
-	Mem           MemStats
-	// Stack is the die-stacked capacity backend's counter block; zero (Mode
-	// "") when the node runs the paper's pass-through machine.
-	Stack   stack.Stats
-	FinalHz float64
-	Energy  energy.Breakdown
-	// Metrics is the uniform registry snapshot taken at run end; it carries
-	// every counter above plus per-channel and DFS detail under stable names.
-	Metrics metrics.Snapshot
+	arch.RunStats
+	Cores    corelet.Stats
+	Prefetch prefetch.Stats
+	// DFS is the rate-matching controller's clock trajectory (only
+	// frequency changes are recorded); empty unless RateMatch was enabled.
+	DFS []DFSSample
 	// Timeline holds the cycle-sampled gauge series when EnableTimeline was
 	// called before Run; nil otherwise.
 	Timeline *metrics.Timeline
-	// Allocs and AllocBytes count heap allocations made inside the run's
-	// cycle loop (zero in steady state by design; see benchreport).
-	Allocs     uint64
-	AllocBytes uint64
-	// SkippedEdges and SkipWindows report the quiescence fast-forward's
-	// informational counters (results are bit-identical with skipping off).
-	SkippedEdges uint64
-	SkipWindows  uint64
-}
-
-// DRAMStats is re-exported memory-side stats (avoids leaking the dram
-// package through the public facade).
-type DRAMStats struct {
-	RowHits, RowMisses uint64
-	BytesRead          uint64
-	Requests           uint64
-}
-
-// MemStats is re-exported memory-controller stats, aggregated across
-// channels (MaxOccupancy is the max over channels).
-type MemStats struct {
-	StallCycles  uint64
-	MaxOccupancy int
-	Rejected     uint64
-}
-
-// RowMissRate returns misses / (hits + misses).
-func (d DRAMStats) RowMissRate() float64 {
-	t := d.RowHits + d.RowMisses
-	if t == 0 {
-		return 0
-	}
-	return float64(d.RowMisses) / float64(t)
 }
 
 // Processor is one Millipede processor plus its memory side.
@@ -181,9 +140,6 @@ type Processor struct {
 	// dfsTrace records (cycle, Hz) at every controller decision when rate
 	// matching is enabled, for convergence analysis.
 	dfsTrace []DFSSample
-	// reg holds lazy getter closures over the component stats; it is only
-	// evaluated at result() time, never on the cycle path.
-	reg      *metrics.Registry
 	timeline *metrics.Timeline
 	traceLog *trace.Log
 }
@@ -280,16 +236,11 @@ func NewProcessor(p arch.Params, ep energy.Params, l Launch) (*Processor, error)
 		}
 	}
 
-	pr.reg = metrics.NewRegistry()
-	pr.reg.Counter("core.cycles", func() uint64 { return pr.ticks })
-	corelet.RegisterStats(pr.reg, "corelet", pr.coreStats)
-	pr.buf.RegisterMetrics(pr.reg, "prefetch")
-	node.Mem.RegisterMetrics(pr.reg)
-	if node.Stack != nil {
-		stack.RegisterMetrics(pr.reg, node.Stack)
-	}
+	node.Metrics.Counter("core.cycles", func() uint64 { return pr.ticks })
+	corelet.RegisterStats(node.Metrics, "corelet", pr.cluster.Stats)
+	pr.buf.RegisterMetrics(node.Metrics, "prefetch")
 	if pr.rate != nil {
-		pr.rate.RegisterMetrics(pr.reg, "dfs")
+		pr.rate.RegisterMetrics(node.Metrics, "dfs")
 	}
 
 	if err := node.AttachCompute(pr); err != nil {
@@ -453,53 +404,35 @@ func (pr *Processor) Halted() bool { return pr.cluster.Halted() }
 
 // Run executes to completion and returns aggregated results.
 func (pr *Processor) Run(limit sim.Time) (Result, error) {
-	t, err := pr.node.Run(limit)
+	rs, err := pr.node.Run(limit)
 	if err != nil {
 		return Result{}, err
 	}
-	return pr.result(t), nil
-}
-
-// coreStats is the registry's getter for the "corelet.*" metrics and
-// result()'s source for Cores.
-func (pr *Processor) coreStats() corelet.Stats { return pr.cluster.Stats() }
-
-func (pr *Processor) result(t sim.Time) Result {
-	r := Result{Time: t, ComputeCycles: pr.ticks, Prefetch: pr.buf.Stats()}
-	r.Cores = pr.coreStats()
-	ds := pr.node.Mem.DRAMStats()
-	r.DRAM = DRAMStats{RowHits: ds.RowHits, RowMisses: ds.RowMisses, BytesRead: ds.BytesRead, Requests: ds.Requests}
-	cs := pr.node.Mem.CtlStats()
-	r.Mem = MemStats{StallCycles: cs.StallCycles, MaxOccupancy: cs.MaxOccupancy, Rejected: cs.Rejected}
-	if pr.node.Stack != nil {
-		r.Stack = pr.node.Stack.Stats()
-	}
+	r := Result{RunStats: rs, Cores: pr.cluster.Stats(), Prefetch: pr.buf.Stats(),
+		DFS: pr.dfsTrace, Timeline: pr.timeline}
+	r.ComputeCycles = pr.ticks
+	r.Insts, r.CondBranches = r.Cores.Instructions, r.Cores.CondBranches
 	r.FinalHz = pr.P.ComputeHz
 	if pr.rate != nil {
 		r.FinalHz = pr.rate.Hz()
 	}
-	r.Energy = pr.energy(r, t)
-	r.Metrics = pr.reg.Snapshot()
-	r.Timeline = pr.timeline
-	r.Allocs, r.AllocBytes = pr.node.RunAllocs, pr.node.RunBytes
-	r.SkippedEdges, r.SkipWindows = pr.node.RunSkippedEdges, pr.node.RunSkipWindows
-	return r
+	r.Energy = pr.energy(r)
+	return r, nil
 }
 
 // energy converts the run's event counts into the Figure 4 breakdown.
 // Millipede core energy: per-instruction execute + per-core instruction
 // fetch (MIMD pays fetch per corelet), local-memory words, prefetch-buffer
 // slice reads, and idle dynamic from imperfect clock gating.
-func (pr *Processor) energy(r Result, t sim.Time) energy.Breakdown {
+func (pr *Processor) energy(r Result) energy.Breakdown {
 	ep := pr.EP
 	var b energy.Breakdown
 	b.CorePJ = float64(r.Cores.Instructions)*(ep.InstPJ+ep.IFetchMIMDPJ) +
 		float64(r.Cores.LocalAccess)*ep.LocalPJ +
 		float64(r.Cores.GlobalReads)*ep.LocalPJ +
 		float64(r.Cores.IdleCycles)*ep.IdlePJ
-	ds := pr.node.Mem.DRAMStats()
-	b.DRAMPJ = ep.DRAM(ds.RowMisses, ds.BytesRead)
-	b.LeakPJ = ep.Leakage(pr.P.Corelets, float64(t)/1e12)
+	b.DRAMPJ = ep.DRAM(r.DRAM.RowMisses, r.DRAM.BytesRead)
+	b.LeakPJ = ep.Leakage(pr.P.Corelets, float64(r.Time)/1e12)
 	return b
 }
 
@@ -530,10 +463,6 @@ type DFSSample struct {
 	Cycle uint64
 	Hz    float64
 }
-
-// DFSTrace returns the controller's clock trajectory (only frequency
-// changes are recorded). Empty unless RateMatch was enabled.
-func (pr *Processor) DFSTrace() []DFSSample { return pr.dfsTrace }
 
 // EnableTimeline samples observability gauges every everyCycles compute
 // cycles into a timeline returned in Result.Timeline. Call before Run. The

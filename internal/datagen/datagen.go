@@ -147,20 +147,6 @@ func (s *Source) Materialize() []uint32 {
 	return out
 }
 
-// SliceSource wraps an already-materialized packed record array as a
-// Source, for callers bridging old slices into the streaming API.
-func SliceSource(words []uint32, recordWords int) *Source {
-	n := len(words) / recordWords
-	pos := 0
-	return NewSource(recordWords, n, NewRNG(1), func(*RNG) func(rec []uint32) {
-		pos = 0
-		return func(rec []uint32) {
-			copy(rec, words[pos:pos+recordWords])
-			pos += recordWords
-		}
-	})
-}
-
 // RatingsSource streams n single-word rating records with values in
 // [0, max). Real rating streams are bursty: values cluster in a band for
 // long runs (users binge one catalogue, logs arrive partially sorted), so
@@ -316,24 +302,4 @@ func BurstyLabeledFloatPointsSource(r *RNG, n, dims, classes int, pClass0 float6
 // BurstyLabeledFloatPointsSource.
 func BurstyLabeledFloatPoints(r *RNG, n, dims, classes int, pClass0 float64, spread float32) []uint32 {
 	return BurstyLabeledFloatPointsSource(r, n, dims, classes, pClass0, spread).Materialize()
-}
-
-// SplitStreams divides a packed record array (recordWords words per record)
-// into threads streams of equal record counts, dropping any remainder
-// records. Each stream is a packed word sequence.
-//
-// Deprecated: SplitStreams predates the streaming API and forces the whole
-// dataset to be materialized up front. Build one Source per thread instead
-// (seeded via ThreadSeed); SplitStreams survives as a shim that routes the
-// slice back through SliceSource.
-func SplitStreams(words []uint32, recordWords, threads int) [][]uint32 {
-	records := len(words) / recordWords
-	per := records / threads
-	out := make([][]uint32, threads)
-	for t := 0; t < threads; t++ {
-		src := SliceSource(words[t*per*recordWords:], recordWords)
-		src.n = per // cap the window at this thread's share
-		out[t] = src.Materialize()
-	}
-	return out
 }

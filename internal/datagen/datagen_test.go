@@ -171,22 +171,3 @@ func TestLabeledFloatPoints(t *testing.T) {
 		}
 	}
 }
-
-func TestSplitStreams(t *testing.T) {
-	words := make([]uint32, 130*3) // 130 3-word records
-	for i := range words {
-		words[i] = uint32(i)
-	}
-	streams := SplitStreams(words, 3, 4) // 32 records per thread, 2 dropped
-	if len(streams) != 4 {
-		t.Fatalf("streams = %d", len(streams))
-	}
-	for t2, s := range streams {
-		if len(s) != 32*3 {
-			t.Fatalf("stream %d len = %d", t2, len(s))
-		}
-		if s[0] != uint32(t2*32*3) {
-			t.Errorf("stream %d starts at %d", t2, s[0])
-		}
-	}
-}

@@ -30,7 +30,7 @@ func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uin
 		seed = Seed
 	}
 	b := workloads.CountBench()
-	records := recordsFor(b, scale)
+	records := RecordsFor(b, scale)
 	f := &Figure{
 		Name:   "Barrier ablation (count): performance normalized to Millipede's hardware flow control",
 		Series: []string{"millipede", "no-flow-control", "barrier-every-1", "barrier-every-512"},
@@ -40,7 +40,7 @@ func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uin
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	base, err := runSeeded(ArchMillipede, b, p, records, seed)
+	base, _, err := Run(ArchMillipede, b, p, records, Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +48,7 @@ func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uin
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	nofc, err := runSeeded(ArchMillipedeNoFC, b, p, records, seed)
+	nofc, _, err := Run(ArchMillipedeNoFC, b, p, records, Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -99,13 +99,8 @@ func runBarrierVariant(p arch.Params, b *workloads.Benchmark, interval, records 
 		return 0, err
 	}
 	got := workloads.ExtractStates(b, sl, lay, pr.ReadState)
-	want := b.GoldenStatesStreamed(q.Threads(), records, seed)
-	for th := range want {
-		for i := range want[th] {
-			if got[th][i] != want[th][i] {
-				return 0, fmt.Errorf("harness: barrier variant changed results (thread %d word %d)", th, i)
-			}
-		}
+	if err := b.Verify(got, q.Threads(), records, seed); err != nil {
+		return 0, fmt.Errorf("harness: barrier variant changed results: %w", err)
 	}
 	return int64(r.Time), nil
 }
@@ -127,7 +122,7 @@ func WarpWidthSweep(ctx context.Context, p arch.Params, scale float64, seed uint
 		if err != nil {
 			return nil, err
 		}
-		records := recordsFor(b, scale)
+		records := RecordsFor(b, scale)
 		row := Row{Bench: name, Values: map[string]float64{}}
 		times := map[int]float64{}
 		for _, w := range widths {
@@ -136,7 +131,7 @@ func WarpWidthSweep(ctx context.Context, p arch.Params, scale float64, seed uint
 			}
 			q := p
 			q.VWSWarpWidth = w
-			r, err := runSeeded(ArchVWS, b, q, records, seed)
+			r, _, err := Run(ArchVWS, b, q, records, Options{Seed: seed})
 			if err != nil {
 				return nil, err
 			}
@@ -175,8 +170,8 @@ func ResidencyStudy(ctx context.Context, p arch.Params, hostBandwidthGBs float64
 		if err != nil {
 			return nil, err
 		}
-		records := recordsFor(b, scale)
-		r, err := runSeeded(ArchMillipede, b, p, records, seed)
+		records := RecordsFor(b, scale)
+		r, _, err := Run(ArchMillipede, b, p, records, Options{Seed: seed})
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 // pre-sized buffer to its steady-state footprint), a second run of the same
 // experiment must make zero heap allocations inside the cycle loop, for
 // every kernel on every cluster/SIMT architecture. The counter comes from
-// runtime.MemStats deltas around arch.Node.Run (see Node.RunAllocs), which
+// runtime.MemStats deltas around arch.Node.Run (see RunStats.Allocs), which
 // counts every goroutine — so GC is paused during the measured run to keep
 // runtime background work out of the ledger.
 //
@@ -39,13 +39,13 @@ func TestCycleLoopAllocFree(t *testing.T) {
 	p := arch.Default()
 	for _, a := range archs {
 		for _, b := range workloads.All() {
-			if _, err := Run(a, b, p, 128); err != nil {
+			if _, _, err := Run(a, b, p, 128, Options{}); err != nil {
 				t.Fatalf("%s/%s warm-up: %v", a, b.Name(), err)
 			}
 			var counts []string
 			for try := 0; try <= allocRetries; try++ {
 				gc := debug.SetGCPercent(-1)
-				r, err := Run(a, b, p, 128)
+				r, _, err := Run(a, b, p, 128, Options{})
 				debug.SetGCPercent(gc)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", a, b.Name(), err)

@@ -49,7 +49,7 @@ func CapacityStudy(ctx context.Context, p arch.Params, scale float64, seed uint6
 	// full sets) and is shared by all modes so capacities stay comparable.
 	granule := stack.DefaultAssoc * p.DRAM.RowBytes
 	for _, b := range benches {
-		records := recordsFor(b, scale)
+		records := RecordsFor(b, scale)
 		datasetBytes := p.Threads() * b.StreamWords(records) * 4
 		if r := datasetBytes % p.DRAM.RowBytes; r != 0 {
 			datasetBytes += p.DRAM.RowBytes - r
@@ -74,7 +74,7 @@ func CapacityStudy(ctx context.Context, p arch.Params, scale float64, seed uint6
 		q := p
 		q.StackMode = j.mode
 		q.StackBytes = j.stackBytes
-		r, err := runSeeded(ArchMillipede, j.b, q, j.records, seed)
+		r, _, err := Run(ArchMillipede, j.b, q, j.records, Options{Seed: seed})
 		if err != nil {
 			return fmt.Errorf("capacity %s/%s@%gx: %w", j.mode, j.b.Name(), j.ratio, err)
 		}

@@ -36,12 +36,12 @@ func TestMultiChannelGoldenEquivalence(t *testing.T) {
 	timing := make([]string, len(jobs))
 	err := runJobs(context.Background(), len(jobs), func(i int) error {
 		j := jobs[i]
-		records := recordsFor(j.b, testScale)
+		records := RecordsFor(j.b, testScale)
 		var baseline []uint32
 		for _, ch := range []int{1, 2, 4} {
 			p := arch.Default()
 			p.Channels = ch
-			res, reduced, err := RunReduced(j.a, j.b, p, records)
+			res, reduced, err := Run(j.a, j.b, p, records, Options{})
 			if err != nil {
 				t.Errorf("%s/%s @ %d channels: %v", j.a, j.b.Name(), ch, err)
 				return nil

@@ -42,8 +42,8 @@ func CharacteristicsStudy(ctx context.Context, p arch.Params, scale float64, see
 		return nil, err
 	}
 	cb := workloads.CountBench()
-	records := recordsFor(cb, scale)
-	cr, err := runSeeded(ArchMillipede, cb, p, records, seed)
+	records := RecordsFor(cb, scale)
+	cr, _, err := Run(ArchMillipede, cb, p, records, Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}

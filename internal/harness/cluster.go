@@ -162,7 +162,7 @@ func ClusterStudy(ctx context.Context, p arch.Params, scale float64, seed uint64
 		if err != nil {
 			return nil, "", err
 		}
-		simRecords := recordsFor(b, scale)
+		simRecords := RecordsFor(b, scale)
 		perThread := simRecords * ClusterStreamFactor / shards
 		if perThread < 1 {
 			perThread = 1
@@ -175,7 +175,7 @@ func ClusterStudy(ctx context.Context, p arch.Params, scale float64, seed uint64
 		// unlike wall-clock throughput.
 		rates := make([]float64, nodes)
 		err = runJobs(ctx, nodes, func(ni int) error {
-			res, _, err := RunWith(ArchMillipede, b, p, simRecords,
+			res, _, err := Run(ArchMillipede, b, p, simRecords,
 				Options{Seed: node.ShardSeed(seed, ni*procs)})
 			if err != nil {
 				return fmt.Errorf("cluster %s node %d: %w", name, ni, err)

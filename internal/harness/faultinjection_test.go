@@ -38,13 +38,8 @@ func TestPrefetchInvariantsUnderJitter(t *testing.T) {
 
 			// Jitter must not change results, only timing.
 			got := workloads.ExtractStates(b, sl, lay, pr.ReadState)
-			want := b.GoldenStatesStreamed(p.Threads(), records, Seed)
-			for th := range want {
-				for i := range want[th] {
-					if got[th][i] != want[th][i] {
-						t.Fatalf("functional mismatch under jitter at thread %d word %d", th, i)
-					}
-				}
+			if err := b.Verify(got, p.Threads(), records, Seed); err != nil {
+				t.Fatalf("under jitter: %v", err)
 			}
 
 			buf := pr.PrefetchBuffer()

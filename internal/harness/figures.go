@@ -138,7 +138,7 @@ func runAll(ctx context.Context, p arch.Params, archs []string, scale float64, s
 	res := make([]RunResult, len(jobs))
 	err := runJobs(ctx, len(jobs), func(i int) error {
 		j := jobs[i]
-		r, err := runSeeded(j.a, j.b, p, recordsFor(j.b, scale), seed)
+		r, _, err := Run(j.a, j.b, p, RecordsFor(j.b, scale), Options{Seed: seed})
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", j.a, j.b.Name(), err)
 		}
@@ -228,13 +228,13 @@ func Fig5(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figu
 	mcs := make([]RunResult, len(benches))
 	err := runJobs(ctx, 2*len(benches), func(i int) error {
 		b := benches[i/2]
-		records := recordsFor(b, scale)
+		records := RecordsFor(b, scale)
 		if i%2 == 0 {
-			r, err := runSeeded(ArchMillipede, b, p, records, seed)
+			r, _, err := Run(ArchMillipede, b, p, records, Options{Seed: seed})
 			mps[i/2] = r
 			return err
 		}
-		r, err := runSeeded(ArchMulticore, b, p, records, seed)
+		r, _, err := Run(ArchMulticore, b, p, records, Options{Seed: seed})
 		mcs[i/2] = r
 		return err
 	})
@@ -301,7 +301,7 @@ func Fig6(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figu
 	res := make([]RunResult, len(jobs))
 	err := runJobs(ctx, len(jobs), func(i int) error {
 		j := jobs[i]
-		r, err := runSeeded(j.a, j.b, j.params, j.records, seed)
+		r, _, err := Run(j.a, j.b, j.params, j.records, Options{Seed: seed})
 		res[i] = r
 		return err
 	})
@@ -356,7 +356,7 @@ func ChannelSweep(ctx context.Context, p arch.Params, scale float64, seed uint64
 		q := p
 		q.ChannelHz = ChannelSweepChannelHz
 		q.Channels = channels[i%len(channels)]
-		r, err := runSeeded(ArchMillipede, b, q, recordsFor(b, scale), seed)
+		r, _, err := Run(ArchMillipede, b, q, RecordsFor(b, scale), Options{Seed: seed})
 		res[i] = r
 		return err
 	})
@@ -389,7 +389,7 @@ func Fig7(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figu
 		b := benches[i/len(counts)]
 		q := p
 		q.PrefetchEntries = counts[i%len(counts)]
-		r, err := runSeeded(ArchMillipede, b, q, recordsFor(b, scale), seed)
+		r, _, err := Run(ArchMillipede, b, q, RecordsFor(b, scale), Options{Seed: seed})
 		res[i] = r
 		return err
 	})
@@ -419,13 +419,13 @@ func TableIV(ctx context.Context, p arch.Params, scale float64, seed uint64) (*F
 	scs := make([]RunResult, len(benches))
 	err := runJobs(ctx, 2*len(benches), func(i int) error {
 		b := benches[i/2]
-		records := recordsFor(b, scale)
+		records := RecordsFor(b, scale)
 		if i%2 == 0 {
-			r, err := runSeeded(ArchMillipedeRM, b, p, records, seed)
+			r, _, err := Run(ArchMillipedeRM, b, p, records, Options{Seed: seed})
 			mps[i/2] = r
 			return err
 		}
-		r, err := runSeeded(ArchSSMC, b, p, records, seed)
+		r, _, err := Run(ArchSSMC, b, p, records, Options{Seed: seed})
 		scs[i/2] = r
 		return err
 	})

@@ -75,6 +75,9 @@ type RunResult struct {
 	// Timeline holds the cycle-sampled gauge series when Options.TimelineEvery
 	// was set (millipede-family architectures only); nil otherwise.
 	Timeline *metrics.Timeline
+	// DFS is the rate-matching controller's clock trajectory (frequency
+	// changes only); empty except on millipede-rate-match.
+	DFS []core.DFSSample
 	// CycleAllocs and CycleBytes count heap allocations made inside the
 	// model's cycle loop (zero in steady state by design; benchreport
 	// records them per run as the zero-alloc gate).
@@ -90,13 +93,6 @@ type RunResult struct {
 	// pass-through machine and on the multicore baseline, which has no die
 	// stack at all.
 	Stack stack.Stats
-}
-
-// setMemStats copies the controller counters out of a processor result.
-func (r *RunResult) setMemStats(m core.MemStats) {
-	r.MemStallCycles = m.StallCycles
-	r.MemMaxOccupancy = m.MaxOccupancy
-	r.MemRejected = m.Rejected
 }
 
 // Seed is the dataset seed used by all experiments.
@@ -115,10 +111,6 @@ type Options struct {
 	// TimelineEvery enables the cycle-domain gauge sampler at the given
 	// period (millipede-family architectures only); zero disables it.
 	TimelineEvery uint64
-	// NoSkip disables the engine's quiescence time skipping
-	// (arch.Params.NoSkip), forcing edge-by-edge dispatch. It is a
-	// simulator-speed knob: results are bit-identical either way.
-	NoSkip bool
 }
 
 func (o Options) seed() uint64 {
@@ -130,29 +122,50 @@ func (o Options) seed() uint64 {
 
 // Run executes benchmark b on the named architecture with per-thread record
 // count records, verifies the live state against the golden reference, and
-// returns the measurement.
-func Run(archName string, b *workloads.Benchmark, p arch.Params, records int) (RunResult, error) {
-	res, _, err := RunWith(archName, b, p, records, Options{})
-	return res, err
-}
-
-// RunReduced is Run plus the host-side final Reduce over the verified
+// returns the measurement plus the host-side final Reduce over the verified
 // per-thread live states (Section IV-D) — the benchmark's actual output.
-func RunReduced(archName string, b *workloads.Benchmark, p arch.Params, records int) (RunResult, []uint32, error) {
-	return RunWith(archName, b, p, records, Options{})
+//
+// Every architecture goes through the same steps: build the processor, run
+// it, verify it, fill the result from the shared arch.RunStats, and reduce.
+func Run(archName string, b *workloads.Benchmark, p arch.Params, records int, o Options) (RunResult, []uint32, error) {
+	seed := o.seed()
+	res := RunResult{Arch: archName, Bench: b.Name()}
+	m, err := build(archName, b, p, records, seed, o)
+	if err != nil {
+		return res, nil, err
+	}
+	rs, err := m.run()
+	if err != nil {
+		return res, nil, err
+	}
+	// The golden reference re-streams each thread's Source through a bounded
+	// buffer, so verification (like the launch) never materializes a stream.
+	states := workloads.ExtractStates(b, m.sl, m.lay, m.read)
+	if err := b.Verify(states, m.threads, m.records, seed); err != nil {
+		return res, nil, fmt.Errorf("harness: %s: %w", archName, err)
+	}
+	res.Words = uint64(m.threads) * uint64(b.StreamWords(m.records))
+	res.fill(rs)
+	res.Timeline, res.DFS = m.timeline, m.dfs
+	return res, b.Reduce(states), nil
 }
 
-// runSeeded is Run with a dataset-seed override (zero means the canonical
-// Seed); the figure generators thread ExpOptions.Seed through it.
-func runSeeded(archName string, b *workloads.Benchmark, p arch.Params, records int, seed uint64) (RunResult, error) {
-	res, _, err := RunWith(archName, b, p, records, Options{Seed: seed})
-	return res, err
-}
-
-// attachMetrics stores the model's registry snapshot on the result after
-// adding the run-level ("run.*") and energy ("energy.*") samples, so every
-// RunResult carries one uniform snapshot regardless of architecture.
-func (r *RunResult) attachMetrics(m metrics.Snapshot) {
+// fill copies the shared node result into the measurement and attaches its
+// metrics snapshot with the run-level ("run.*") and energy ("energy.*")
+// samples added, so every RunResult carries one uniform snapshot regardless
+// of architecture. Words must already be set.
+func (r *RunResult) fill(rs arch.RunStats) {
+	r.Time, r.Energy, r.FinalHz = rs.Time, rs.Energy, rs.FinalHz
+	r.Insts, r.Cycles = rs.Insts, rs.ComputeCycles
+	r.InstsPerWord = float64(r.Insts) / float64(r.Words)
+	r.BranchesPerInst = ratio(rs.CondBranches, rs.Insts)
+	r.RowMissRate = rs.DRAM.RowMissRate()
+	r.DRAMBytes = rs.DRAM.BytesRead
+	r.MemStallCycles, r.MemMaxOccupancy, r.MemRejected = rs.Mem.StallCycles, rs.Mem.MaxOccupancy, rs.Mem.Rejected
+	r.Stack = rs.Stack
+	r.CycleAllocs, r.CycleBytes = rs.Allocs, rs.AllocBytes
+	r.SkippedEdges, r.SkipWindows = rs.SkippedEdges, rs.SkipWindows
+	m := rs.Metrics
 	m.Put(metrics.Sample{Name: "run.time_ps", Kind: metrics.Counter, Value: float64(r.Time)})
 	m.Put(metrics.Sample{Name: "run.cycles", Kind: metrics.Counter, Value: float64(r.Cycles)})
 	m.Put(metrics.Sample{Name: "run.insts", Kind: metrics.Counter, Value: float64(r.Insts)})
@@ -164,48 +177,36 @@ func (r *RunResult) attachMetrics(m metrics.Snapshot) {
 	r.Metrics = m
 }
 
-// RunWith is RunReduced with explicit Options (seed override, event trace,
-// timeline sampling).
-func RunWith(archName string, b *workloads.Benchmark, p arch.Params, records int, o Options) (RunResult, []uint32, error) {
+// machine is one constructed processor: how to run it, how to read back its
+// live state for the golden check, and the geometry that check needs.
+type machine struct {
+	run              func() (arch.RunStats, error)
+	read             workloads.StateReader
+	lay              layout.Layout
+	sl               kernels.StateLayout
+	threads, records int
+	// timeline and dfs are the millipede family's extra outputs, set by run.
+	timeline *metrics.Timeline
+	dfs      []core.DFSSample
+}
+
+// build constructs the processor for one run; it only builds, Run does the
+// rest.
+func build(archName string, b *workloads.Benchmark, p arch.Params, records int, seed uint64, o Options) (*machine, error) {
 	ep := energy.Default()
-	seed := o.seed()
-	if o.NoSkip {
-		p.NoSkip = true
-	}
-	res := RunResult{Arch: archName, Bench: b.Name()}
-	res.Words = uint64(p.Threads()) * uint64(b.StreamWords(records))
-	var states [][]uint32
-
-	// The golden reference re-streams each thread's Source through a bounded
-	// buffer, so verification (like the launch) never materializes a stream.
-	verify := func(sl kernels.StateLayout, lay layout.Layout, read workloads.StateReader) error {
-		got := workloads.ExtractStates(b, sl, lay, read)
-		states = got
-		want := b.GoldenStatesStreamed(p.Threads(), records, seed)
-		for th := range want {
-			for i := range want[th] {
-				if got[th][i] != want[th][i] {
-					return fmt.Errorf("harness: %s/%s functional mismatch at thread %d word %d",
-						archName, b.Name(), th, i)
-				}
-			}
-		}
-		return nil
-	}
-
-	fail := func(err error) (RunResult, []uint32, error) { return res, nil, err }
+	m := &machine{threads: p.Threads(), records: records}
+	var l core.Launch
+	var err error
 	switch archName {
 	case ArchMillipede, ArchMillipedeNoFC, ArchMillipedeRM:
-		q := p
-		q.FlowControl = archName != ArchMillipedeNoFC
-		q.RateMatch = archName == ArchMillipedeRM
-		l, lay, sl, err := buildLaunch(b, q, layout.Slab, records, seed, false)
-		if err != nil {
-			return fail(err)
+		p.FlowControl = archName != ArchMillipedeNoFC
+		p.RateMatch = archName == ArchMillipedeRM
+		if l, m.lay, m.sl, err = buildLaunch(b, p, layout.Slab, records, seed, false); err != nil {
+			return nil, err
 		}
-		pr, err := core.NewProcessor(q, ep, l)
+		pr, err := core.NewProcessor(p, ep, l)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if o.Trace != nil {
 			pr.EnableTrace(o.Trace, o.TraceCorelet)
@@ -213,144 +214,70 @@ func RunWith(archName string, b *workloads.Benchmark, p arch.Params, records int
 		if o.TimelineEvery > 0 {
 			pr.EnableTimeline(o.TimelineEvery)
 		}
-		r, err := pr.Run(0)
-		if err != nil {
-			return fail(err)
+		m.read = pr.ReadState
+		m.run = func() (arch.RunStats, error) {
+			r, err := pr.Run(0)
+			m.timeline, m.dfs = r.Timeline, r.DFS
+			return r.RunStats, err
 		}
-		if err := verify(sl, lay, pr.ReadState); err != nil {
-			return fail(err)
-		}
-		res.Time, res.Energy, res.FinalHz = r.Time, r.Energy, r.FinalHz
-		res.Insts = r.Cores.Instructions
-		res.Cycles = r.ComputeCycles
-		res.BranchesPerInst = ratio(r.Cores.CondBranches, r.Cores.Instructions)
-		res.RowMissRate = r.DRAM.RowMissRate()
-		res.DRAMBytes = r.DRAM.BytesRead
-		res.setMemStats(r.Mem)
-		res.Stack = r.Stack
-		res.CycleAllocs, res.CycleBytes = r.Allocs, r.AllocBytes
-		res.SkippedEdges, res.SkipWindows = r.SkippedEdges, r.SkipWindows
-		res.Timeline = r.Timeline
-		res.attachMetrics(r.Metrics)
-
 	case ArchSSMC:
-		l, lay, sl, err := buildLaunch(b, p, layout.Slab, records, seed, false)
-		if err != nil {
-			return fail(err)
+		if l, m.lay, m.sl, err = buildLaunch(b, p, layout.Slab, records, seed, false); err != nil {
+			return nil, err
 		}
 		pr, err := ssmc.NewProcessor(p, ep, l)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		r, err := pr.Run(0)
-		if err != nil {
-			return fail(err)
+		m.read = pr.ReadState
+		m.run = func() (arch.RunStats, error) {
+			r, err := pr.Run(0)
+			return r.RunStats, err
 		}
-		if err := verify(sl, lay, pr.ReadState); err != nil {
-			return fail(err)
-		}
-		res.Time, res.Energy, res.FinalHz = r.Time, r.Energy, p.ComputeHz
-		res.Insts = r.Cores.Instructions
-		res.Cycles = r.ComputeCycles
-		res.BranchesPerInst = ratio(r.Cores.CondBranches, r.Cores.Instructions)
-		res.RowMissRate = r.DRAM.RowMissRate()
-		res.DRAMBytes = r.DRAM.BytesRead
-		res.setMemStats(r.Mem)
-		res.Stack = r.Stack
-		res.CycleAllocs, res.CycleBytes = r.Allocs, r.AllocBytes
-		res.SkippedEdges, res.SkipWindows = r.SkippedEdges, r.SkipWindows
-		res.attachMetrics(r.Metrics)
-
 	case ArchGPGPU, ArchVWS, ArchVWSRow:
-		v := simt.GPGPU
-		if archName == ArchVWS {
-			v = simt.VWS
-		} else if archName == ArchVWSRow {
-			v = simt.VWSRow
+		v := map[string]simt.Variant{ArchGPGPU: simt.GPGPU, ArchVWS: simt.VWS, ArchVWSRow: simt.VWSRow}[archName]
+		if l, m.lay, m.sl, err = buildLaunch(b, p, layout.Word, records, seed, true); err != nil {
+			return nil, err
 		}
-		l, lay, sl, err := buildLaunch(b, p, layout.Word, records, seed, true)
+		sm, err := simt.NewSM(p, ep, v, l)
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		m, err := simt.NewSM(p, ep, v, l)
-		if err != nil {
-			return fail(err)
+		m.read = sm.ReadShared
+		m.run = func() (arch.RunStats, error) {
+			r, err := sm.Run(0)
+			return r.RunStats, err
 		}
-		r, err := m.Run(0)
-		if err != nil {
-			return fail(err)
-		}
-		if err := verify(sl, lay, m.ReadShared); err != nil {
-			return fail(err)
-		}
-		res.Time, res.Energy, res.FinalHz = r.Time, r.Energy, p.ComputeHz
-		res.Insts = r.SM.ThreadInsts
-		res.Cycles = r.ComputeCycles
-		res.BranchesPerInst = ratio(r.SM.CondBranches, r.SM.ThreadInsts)
-		res.RowMissRate = r.DRAM.RowMissRate()
-		res.DRAMBytes = r.DRAM.BytesRead
-		res.setMemStats(r.Mem)
-		res.Stack = r.Stack
-		res.CycleAllocs, res.CycleBytes = r.Allocs, r.AllocBytes
-		res.SkippedEdges, res.SkipWindows = r.SkippedEdges, r.SkipWindows
-		res.attachMetrics(r.Metrics)
-
 	case ArchMulticore:
 		c := multicore.DefaultConfig()
 		c.NoSkip = p.NoSkip
 		// Same total input as a p-geometry PNM run: the node comparison
 		// (Figure 5) scales per-processor results by the processor count.
-		mcRecords := records * p.Threads() / c.Threads()
-		lay := layout.Layout{
+		m.threads, m.records = c.Threads(), records*p.Threads()/c.Threads()
+		m.lay = layout.Layout{
 			RowBytes: c.DRAM.RowBytes, Corelets: c.Cores, Contexts: c.SMT,
-			Interleave: layout.Split, StreamWords: b.StreamWords(mcRecords),
+			Interleave: layout.Split, StreamWords: b.StreamWords(m.records),
 		}
-		if err := lay.Validate(); err != nil {
-			return fail(err)
+		if err := m.lay.Validate(); err != nil {
+			return nil, err
 		}
-		sl, err := kernels.LocalState(b.K, c.LocalBytes, c.SMT)
+		if m.sl, err = kernels.LocalState(b.K, c.LocalBytes, c.SMT); err != nil {
+			return nil, err
+		}
+		args := kernels.ArgsAndConsts(b.K, m.lay.Walk(), m.sl, m.records)
+		s, err := multicore.New(c, ep, core.Launch{Prog: b.K.Prog, Interleave: layout.Split,
+			Sources: b.Sources(m.threads, m.records, seed), Args: args})
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		args := kernels.ArgsAndConsts(b.K, lay.Walk(), sl, mcRecords)
-		l := core.Launch{Prog: b.K.Prog, Interleave: layout.Split,
-			Sources: b.Sources(c.Threads(), mcRecords, seed), Args: args}
-		s, err := multicore.New(c, ep, l)
-		if err != nil {
-			return fail(err)
+		m.read = s.ReadState
+		m.run = func() (arch.RunStats, error) {
+			r, err := s.Run(0)
+			return r.RunStats, err
 		}
-		r, err := s.Run(0)
-		if err != nil {
-			return fail(err)
-		}
-		got := workloads.ExtractStates(b, sl, lay, s.ReadState)
-		want := b.GoldenStatesStreamed(c.Threads(), mcRecords, seed)
-		for th := range want {
-			for i := range want[th] {
-				if got[th][i] != want[th][i] {
-					return fail(fmt.Errorf("harness: multicore/%s functional mismatch", b.Name()))
-				}
-			}
-		}
-		states = got
-		res.Time, res.Energy, res.FinalHz = r.Time, r.Energy, c.ClockHz
-		res.Insts = r.Cores.Instructions
-		res.Cycles = r.ComputeCycles
-		res.BranchesPerInst = ratio(r.Cores.CondBranches, r.Cores.Instructions)
-		res.RowMissRate = r.DRAM.RowMissRate()
-		res.DRAMBytes = r.DRAM.BytesRead
-		res.setMemStats(r.Mem)
-		res.CycleAllocs, res.CycleBytes = r.Allocs, r.AllocBytes
-		res.SkippedEdges, res.SkipWindows = r.SkippedEdges, r.SkipWindows
-		res.Words = uint64(c.Threads()) * uint64(b.StreamWords(mcRecords))
-		res.attachMetrics(r.Metrics)
-
 	default:
-		return fail(fmt.Errorf("harness: unknown architecture %q", archName))
+		return nil, fmt.Errorf("harness: unknown architecture %q", archName)
 	}
-
-	res.InstsPerWord = float64(res.Insts) / float64(res.Words)
-	return res, b.Reduce(states), nil
+	return m, nil
 }
 
 // buildLaunch assembles a launch whose input is per-thread streaming
@@ -413,45 +340,6 @@ func recordsForSize(b *workloads.Benchmark, scale float64, lanes int) int {
 	return r
 }
 
-// recordsFor is the unexported alias used throughout the harness.
-func recordsFor(b *workloads.Benchmark, scale float64) int {
-	return RecordsFor(b, scale)
-}
-
-// RateTrace runs a benchmark on rate-matched Millipede and returns the DFS
-// controller's clock trajectory alongside the measurement.
-func RateTrace(b *workloads.Benchmark, p arch.Params, records int) ([]core.DFSSample, RunResult, error) {
-	q := p
-	q.RateMatch = true
-	l, lay, sl, err := buildLaunch(b, q, layout.Slab, records, Seed, false)
-	if err != nil {
-		return nil, RunResult{}, err
-	}
-	pr, err := core.NewProcessor(q, energy.Default(), l)
-	if err != nil {
-		return nil, RunResult{}, err
-	}
-	r, err := pr.Run(0)
-	if err != nil {
-		return nil, RunResult{}, err
-	}
-	got := workloads.ExtractStates(b, sl, lay, pr.ReadState)
-	want := b.GoldenStatesStreamed(q.Threads(), records, Seed)
-	for th := range want {
-		for i := range want[th] {
-			if got[th][i] != want[th][i] {
-				return nil, RunResult{}, fmt.Errorf("harness: rate-trace functional mismatch")
-			}
-		}
-	}
-	res := RunResult{
-		Arch: ArchMillipedeRM, Bench: b.Name(), Time: r.Time, Energy: r.Energy,
-		Insts: r.Cores.Instructions, Words: uint64(q.Threads()) * uint64(b.StreamWords(records)),
-		FinalHz: r.FinalHz,
-	}
-	return pr.DFSTrace(), res, nil
-}
-
 // KMeansIteration runs one k-means MapReduction on Millipede with the given
 // centroids and returns the next centroids (coordinate sums divided by
 // counts; empty clusters keep their centroid) plus the verified run result.
@@ -459,7 +347,7 @@ func RateTrace(b *workloads.Benchmark, p arch.Params, records int) ([]core.DFSSa
 // dataset — the paper's "full application" framing.
 func KMeansIteration(p arch.Params, cents [][]float32, records int) ([][]float32, RunResult, error) {
 	b := workloads.KMeansBenchWith(cents)
-	res, out, err := RunReduced(ArchMillipede, b, p, records)
+	res, out, err := Run(ArchMillipede, b, p, records, Options{})
 	if err != nil {
 		return nil, res, err
 	}

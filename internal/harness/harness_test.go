@@ -18,11 +18,11 @@ func TestRunAllArchitecturesVerified(t *testing.T) {
 	p := arch.Default()
 	b := workloads.CountBench()
 	for _, a := range append(Architectures(), ArchMulticore) {
-		if _, err := Run(a, b, p, 64); err != nil {
+		if _, _, err := Run(a, b, p, 64, Options{}); err != nil {
 			t.Errorf("%s: %v", a, err)
 		}
 	}
-	if _, err := Run("bogus", b, p, 8); err == nil {
+	if _, _, err := Run("bogus", b, p, 8, Options{}); err == nil {
 		t.Error("unknown architecture accepted")
 	}
 }

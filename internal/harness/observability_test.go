@@ -18,11 +18,11 @@ func TestMetricsDeterminism(t *testing.T) {
 	p := arch.Default()
 	for _, a := range []string{ArchMillipede, ArchSSMC, ArchGPGPU} {
 		for _, b := range workloads.All() {
-			r1, err := Run(a, b, p, 32)
+			r1, _, err := Run(a, b, p, 32, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", a, b.Name(), err)
 			}
-			r2, err := Run(a, b, p, 32)
+			r2, _, err := Run(a, b, p, 32, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s rerun: %v", a, b.Name(), err)
 			}
@@ -60,7 +60,7 @@ func TestMetricsPresence(t *testing.T) {
 		{ArchMulticore, []string{"l1.hits", "l2.hits", "corelet.instructions"}},
 	}
 	for _, c := range cases {
-		res, err := Run(c.arch, b, p, 64)
+		res, _, err := Run(c.arch, b, p, 64, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.arch, err)
 		}
@@ -83,7 +83,7 @@ func TestMetricsPresence(t *testing.T) {
 func TestRunWithTimeline(t *testing.T) {
 	p := arch.Default()
 	b := workloads.CountBench()
-	res, _, err := RunWith(ArchMillipedeRM, b, p, 256, Options{TimelineEvery: 64})
+	res, _, err := Run(ArchMillipedeRM, b, p, 256, Options{TimelineEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRunWithTimeline(t *testing.T) {
 		}
 	}
 	// Without the option, no sampler is attached and the hot loop stays bare.
-	plain, _, err := RunWith(ArchMillipedeRM, b, p, 256, Options{})
+	plain, _, err := Run(ArchMillipedeRM, b, p, 256, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

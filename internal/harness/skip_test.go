@@ -16,14 +16,16 @@ import (
 // an edge that could have done work.
 func TestSkipBitIdentical(t *testing.T) {
 	p := arch.Default()
+	noSkip := p
+	noSkip.NoSkip = true
 	archs := append(Architectures(), ArchMulticore)
 	for _, a := range archs {
 		for _, b := range workloads.All() {
-			ref, refRed, err := RunWith(a, b, p, 32, Options{NoSkip: true})
+			ref, refRed, err := Run(a, b, noSkip, 32, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s noskip: %v", a, b.Name(), err)
 			}
-			got, gotRed, err := RunWith(a, b, p, 32, Options{})
+			got, gotRed, err := Run(a, b, p, 32, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s skip: %v", a, b.Name(), err)
 			}
@@ -56,18 +58,20 @@ func TestSkipBitIdentical(t *testing.T) {
 // table-driven gate covers.
 func TestSkipPropertyRandomRuns(t *testing.T) {
 	p := arch.Default()
+	noSkip := p
+	noSkip.NoSkip = true
 	archs := append(Architectures(), ArchMulticore)
 	all := workloads.All()
 	f := func(ai, bi uint8, seed uint32) bool {
 		a := archs[int(ai)%len(archs)]
 		b := all[int(bi)%len(all)]
 		o := Options{Seed: uint64(seed) + 1} // 0 means canonical; stay off it
-		ref, _, err := RunWith(a, b, p, 16, Options{Seed: o.Seed, NoSkip: true})
+		ref, _, err := Run(a, b, noSkip, 16, o)
 		if err != nil {
 			t.Logf("%s/%s seed=%d noskip: %v", a, b.Name(), o.Seed, err)
 			return false
 		}
-		got, _, err := RunWith(a, b, p, 16, o)
+		got, _, err := Run(a, b, p, 16, o)
 		if err != nil {
 			t.Logf("%s/%s seed=%d skip: %v", a, b.Name(), o.Seed, err)
 			return false

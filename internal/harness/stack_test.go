@@ -35,13 +35,13 @@ func TestStackMemoryPassThroughIdentical(t *testing.T) {
 		seed := rng.Uint64() | 1
 		records := 16 + rng.Intn(32)
 
-		base, err := runSeeded(ArchMillipede, b, p, records, seed)
+		base, _, err := Run(ArchMillipede, b, p, records, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
 		q := p
 		q.StackMode = string(stack.ModeMemory)
-		got, err := runSeeded(ArchMillipede, b, q, records, seed)
+		got, _, err := Run(ArchMillipede, b, q, records, Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestHWCacheCompulsoryOnly(t *testing.T) {
 	p.StackMode = string(stack.ModeHWCache)
 	p.StackBytes = sb
 
-	res, err := runSeeded(ArchMillipede, b, p, records, Seed)
+	res, _, err := Run(ArchMillipede, b, p, records, Options{Seed: Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TimelineStudy(ctx context.Context, p arch.Params, scale float64, everyCycle
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := RunWith(ArchMillipedeRM, b, p, recordsFor(b, scale),
+	res, _, err := Run(ArchMillipedeRM, b, p, RecordsFor(b, scale),
 		Options{TimelineEvery: everyCycles, Seed: seed})
 	if err != nil {
 		return nil, err

@@ -186,6 +186,38 @@ func Diff(after, before Snapshot) Snapshot {
 	return out
 }
 
+// Sum returns a plus b: samples of the same name add (counters and gauges
+// by value, histograms bucket by bucket) and names present on one side pass
+// through. It is how per-node snapshots fan in to one cluster view. Neither
+// input is modified.
+func Sum(a, b Snapshot) Snapshot {
+	out := Snapshot{Samples: append([]Sample(nil), a.Samples...)}
+	for _, sm := range b.Samples {
+		if prev, ok := out.Get(sm.Name); ok {
+			if sm.Kind == Histogram {
+				sm.Buckets = AddBuckets(prev.Buckets, sm.Buckets)
+			} else {
+				sm.Value += prev.Value
+			}
+		}
+		out.Put(sm)
+	}
+	return out
+}
+
+// AddBuckets returns the bucket-by-bucket sum of two histograms; the
+// shorter one counts as zero past its end.
+func AddBuckets(a, b []uint64) []uint64 {
+	out := make([]uint64, max(len(a), len(b)))
+	for i, v := range a {
+		out[i] += v
+	}
+	for i, v := range b {
+		out[i] += v
+	}
+	return out
+}
+
 // Pow2BucketPercentile estimates the q-quantile (0 < q <= 1) of a
 // power-of-two-millisecond latency histogram laid out like the jobs pool
 // and memory controller histograms: bucket 0 counts observations under

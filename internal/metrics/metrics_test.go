@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -111,6 +112,30 @@ func TestDiff(t *testing.T) {
 	// A diff must not mutate its inputs.
 	if am, _ := after.Get("h"); am.Buckets[0] != 4 {
 		t.Error("Diff mutated after")
+	}
+}
+
+// TestSum: same-named samples add by value or bucket by bucket, one-sided
+// names pass through, and the inputs stay untouched.
+func TestSum(t *testing.T) {
+	a := Snapshot{Samples: []Sample{
+		{Name: "hits", Kind: Counter, Value: 3},
+		{Name: "lat", Kind: Histogram, Buckets: []uint64{1, 2}},
+	}}
+	b := Snapshot{Samples: []Sample{
+		{Name: "depth", Kind: Gauge, Value: 4},
+		{Name: "hits", Kind: Counter, Value: 5},
+		{Name: "lat", Kind: Histogram, Buckets: []uint64{10, 20, 30}},
+	}}
+	got := Sum(a, b)
+	if got.Value("hits") != 8 || got.Value("depth") != 4 {
+		t.Errorf("sum values: hits %g depth %g", got.Value("hits"), got.Value("depth"))
+	}
+	if lat, _ := got.Get("lat"); fmt.Sprint(lat.Buckets) != "[11 22 30]" {
+		t.Errorf("summed buckets = %v", lat.Buckets)
+	}
+	if len(got.Samples) != 3 || a.Value("hits") != 3 || len(a.Samples) != 2 {
+		t.Errorf("Sum changed its input or dropped a name: %+v / %+v", got, a)
 	}
 }
 

@@ -14,8 +14,8 @@ package multicore
 
 import (
 	"fmt"
-	"runtime"
 
+	"repro/internal/arch"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/corelet"
@@ -23,7 +23,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/layout"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -88,6 +87,21 @@ func (c Config) Validate() error {
 
 // Threads returns the hardware thread count.
 func (c Config) Threads() int { return c.Cores * c.SMT }
+
+// nodeParams derives the arch.Node configuration: one off-chip channel with
+// the config's queue depth and DRAM, ClockHz as the compute clock and
+// MemClockHz as the channel clock. The node reads nothing else; the rest is
+// Table III's, which keeps the params valid.
+func (c Config) nodeParams() arch.Params {
+	p := arch.Default()
+	p.DRAM = c.DRAM
+	p.Channels = 1
+	p.MemQueueDepth = c.MemQueueDepth
+	p.ComputeHz = c.ClockHz
+	p.ChannelHz = c.MemClockHz
+	p.NoSkip = c.NoSkip
+	return p
+}
 
 type delayed struct {
 	due uint64
@@ -188,32 +202,19 @@ func (b delayedPort) Tick() { b.inner.Tick() }
 
 func (b delayedPort) Idle() bool { return b.inner.Idle() }
 
-// Result aggregates one run.
+// Result is the shared node result plus the multicore's core and cache
+// counters.
 type Result struct {
-	Time          sim.Time
-	ComputeCycles uint64
-	Cores         corelet.Stats
-	L1, L2        cache.Stats
-	DRAM          core.DRAMStats
-	Mem           core.MemStats
-	Energy        energy.Breakdown
-	Metrics       metrics.Snapshot
-	// Allocs and AllocBytes count heap allocations made inside the run's
-	// cycle loop (zero in steady state by design; see benchreport).
-	Allocs     uint64
-	AllocBytes uint64
-	// SkippedEdges and SkipWindows report the quiescence fast-forward's
-	// informational counters (results are bit-identical with skipping off).
-	SkippedEdges uint64
-	SkipWindows  uint64
+	arch.RunStats
+	Cores  corelet.Stats
+	L1, L2 cache.Stats
 }
 
 // System is the 8-core conventional machine.
 type System struct {
 	C    Config
 	EP   energy.Params
-	eng  *sim.Engine
-	msys *mem.System
+	node *arch.Node
 	// cluster holds every core's hot state in one structure-of-arrays image.
 	// The multicore clock hands each core IssueWidth issue slots per system
 	// cycle, so the cores are ticked individually (TickCore) rather than as
@@ -221,14 +222,12 @@ type System struct {
 	cluster *corelet.Cluster
 	// live is the active set of non-halted core indices, compacted in
 	// registration order as cores halt (cores never un-halt).
-	live     []int32
-	l1s      []*cache.Cache
-	l2s      []*cache.Cache
-	delay    *delayLine
-	lay      layout.Layout
-	ticks    uint64
-	coresDom *sim.Domain
-	reg      *metrics.Registry
+	live  []int32
+	l1s   []*cache.Cache
+	l2s   []*cache.Cache
+	delay *delayLine
+	lay   layout.Layout
+	ticks uint64
 }
 
 type port struct{ c *cache.Cache }
@@ -276,12 +275,12 @@ func New(c Config, ep energy.Params, l core.Launch) (*System, error) {
 		return nil, err
 	}
 	// Conventional off-chip DRAM: one channel (no die-stack vault fan-out).
-	msys, err := mem.New(c.DRAM, 1, c.MemQueueDepth, len(flat)*4)
+	node, err := arch.NewNode(c.nodeParams(), len(flat)*4)
 	if err != nil {
 		return nil, err
 	}
-	msys.LoadWords(0, flat)
-	s := &System{C: c, EP: ep, eng: sim.NewEngine(), msys: msys, lay: lay}
+	node.DRAM.LoadWords(0, flat)
+	s := &System{C: c, EP: ep, node: node, lay: lay}
 	s.delay = &delayLine{q: make([]delayed, 0, 256)}
 	// Outstanding delayed completions are bounded by the L1s' collective
 	// MSHR capacity; pre-seed past it so the cycle loop never grows the list.
@@ -290,7 +289,7 @@ func New(c Config, ep energy.Params, l core.Launch) (*System, error) {
 		s.delay.free = append(s.delay.free, s.delay.newCtx())
 	}
 
-	read := func(addr uint32) uint32 { return msys.ReadWord(addr) }
+	read := func(addr uint32) uint32 { return node.DRAM.ReadWord(addr) }
 	code, err := corelet.Decode(l.Prog, c.Latencies)
 	if err != nil {
 		return nil, err
@@ -299,7 +298,7 @@ func New(c Config, ep energy.Params, l core.Launch) (*System, error) {
 	for i := 0; i < c.Cores; i++ {
 		l2, err := cache.New(cache.Config{
 			SizeBytes: c.L2Bytes, LineBytes: c.LineBytes, Assoc: 8, PrefetchDepth: 2,
-		}, msys, 16)
+		}, node.Port, 16)
 		if err != nil {
 			return nil, err
 		}
@@ -329,33 +328,25 @@ func New(c Config, ep energy.Params, l core.Launch) (*System, error) {
 		s.live = append(s.live, int32(i))
 	}
 
-	s.reg = metrics.NewRegistry()
-	s.reg.Counter("core.cycles", func() uint64 { return s.ticks })
-	corelet.RegisterStats(s.reg, "corelet", s.coreStats)
-	cache.RegisterStats(s.reg, "l1", func() cache.Stats { return s.cacheStats(s.l1s) })
-	cache.RegisterStats(s.reg, "l2", func() cache.Stats { return s.cacheStats(s.l2s) })
-	msys.RegisterMetrics(s.reg)
+	node.Metrics.Counter("core.cycles", func() uint64 { return s.ticks })
+	corelet.RegisterStats(node.Metrics, "corelet", s.cluster.Stats)
+	cache.RegisterStats(node.Metrics, "l1", func() cache.Stats { return s.cacheStats(s.l1s) })
+	cache.RegisterStats(node.Metrics, "l2", func() cache.Stats { return s.cacheStats(s.l2s) })
 
-	s.eng.SetSkip(!c.NoSkip)
-	mt := &mem.Ticker{Sys: msys}
-	memDom, err := s.eng.AddDomain("mem", sim.PeriodFromHz(c.MemClockHz), mt)
-	if err != nil {
-		return nil, err
-	}
-	mt.Domain = memDom
-	s.coresDom, err = s.eng.AddDomain("cores", sim.PeriodFromHz(c.ClockHz), coresTicker{s})
-	if err != nil {
+	if err := node.AttachCompute(coresTicker{s}); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// coresTicker registers the core clock with the engine, including the
+// coresTicker registers the core clock with the node, including the
 // quiescence protocol (the System's exported method set stays the model
 // API).
 type coresTicker struct{ s *System }
 
 func (t coresTicker) Tick(now sim.Time) { t.s.tick(now) }
+
+func (t coresTicker) Halted() bool { return t.s.Halted() }
 
 // NextWork reports the earliest future core-clock tick at which the system
 // tick could change state: the earliest delayed completion due to fire, or
@@ -370,7 +361,7 @@ func (t coresTicker) NextWork(sim.Time) sim.Time {
 	for _, e := range s.delay.q {
 		if due := int64(e.due); due < w {
 			if due <= tk+1 {
-				return s.coresDom.TimeOfTick(uint64(tk + 1))
+				return s.node.Compute.TimeOfTick(uint64(tk + 1))
 			}
 			w = due
 		}
@@ -381,7 +372,7 @@ func (t coresTicker) NextWork(sim.Time) sim.Time {
 			continue
 		}
 		if d <= iw {
-			return s.coresDom.TimeOfTick(uint64(tk + 1))
+			return s.node.Compute.TimeOfTick(uint64(tk + 1))
 		}
 		if n := tk + (d+iw-1)/iw; n < w {
 			w = n
@@ -390,7 +381,7 @@ func (t coresTicker) NextWork(sim.Time) sim.Time {
 	if w == 1<<63-1 {
 		return sim.Never
 	}
-	return s.coresDom.TimeOfTick(uint64(w))
+	return s.node.Compute.TimeOfTick(uint64(w))
 }
 
 // SkipTicks replays n dead system ticks: the tick counter and delay-line
@@ -433,35 +424,17 @@ func (s *System) Halted() bool { return len(s.live) == 0 }
 
 // Run executes to completion.
 func (s *System) Run(limit sim.Time) (Result, error) {
-	if limit == 0 {
-		limit = 10 * sim.Second
-	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	m0, b0 := ms.Mallocs, ms.TotalAlloc
-	t, err := s.eng.Run(limit, s.Halted)
+	rs, err := s.node.Run(limit)
 	if err != nil {
 		return Result{}, err
 	}
-	runtime.ReadMemStats(&ms)
-	r := Result{Time: t, ComputeCycles: s.ticks}
-	r.Allocs, r.AllocBytes = ms.Mallocs-m0, ms.TotalAlloc-b0
-	r.SkippedEdges, r.SkipWindows = s.eng.SkippedEdges(), s.eng.SkipWindows()
-	r.Cores = s.coreStats()
-	r.L1 = s.cacheStats(s.l1s)
-	r.L2 = s.cacheStats(s.l2s)
-	ds := s.msys.DRAMStats()
-	r.DRAM = core.DRAMStats{RowHits: ds.RowHits, RowMisses: ds.RowMisses, BytesRead: ds.BytesRead, Requests: ds.Requests}
-	cs := s.msys.CtlStats()
-	r.Mem = core.MemStats{StallCycles: cs.StallCycles, MaxOccupancy: cs.MaxOccupancy, Rejected: cs.Rejected}
-	r.Energy = s.energyOf(r, t)
-	r.Metrics = s.reg.Snapshot()
+	r := Result{RunStats: rs, Cores: s.cluster.Stats(), L1: s.cacheStats(s.l1s), L2: s.cacheStats(s.l2s)}
+	r.ComputeCycles = s.ticks
+	r.Insts, r.CondBranches = r.Cores.Instructions, r.Cores.CondBranches
+	r.FinalHz = s.C.ClockHz
+	r.Energy = s.energyOf(r)
 	return r, nil
 }
-
-// coreStats supplies the aggregate execution counters for the registry and
-// the Result.
-func (s *System) coreStats() corelet.Stats { return s.cluster.Stats() }
 
 // cacheStats aggregates one cache level's counters.
 func (s *System) cacheStats(level []*cache.Cache) cache.Stats {
@@ -481,15 +454,15 @@ const oooInstFactor = 6.0
 // leakMWPerOoOCore is leakage per big core in milliwatts.
 const leakMWPerOoOCore = 25.0
 
-func (s *System) energyOf(r Result, t sim.Time) energy.Breakdown {
+func (s *System) energyOf(r Result) energy.Breakdown {
 	ep := s.EP
 	var b energy.Breakdown
 	b.CorePJ = float64(r.Cores.Instructions)*(ep.InstPJ+ep.IFetchMIMDPJ)*oooInstFactor +
 		float64(r.Cores.LocalAccess+r.Cores.GlobalReads)*ep.L1LargePJ +
 		float64(r.L2.Hits+r.L2.Misses)*ep.L2PJ +
 		float64(r.Cores.IdleCycles)*ep.IdlePJ*oooInstFactor
-	b.DRAMPJ = ep.OffChip(s.msys.DRAMStats().BytesRead)
-	b.LeakPJ = leakMWPerOoOCore * float64(s.C.Cores) * 1e-3 * (float64(t) / 1e12) * 1e12
+	b.DRAMPJ = ep.OffChip(r.DRAM.BytesRead)
+	b.LeakPJ = leakMWPerOoOCore * float64(s.C.Cores) * 1e-3 * (float64(r.Time) / 1e12) * 1e12
 	return b
 }
 

@@ -104,13 +104,8 @@ func Run(p arch.Params, ep energy.Params, b *workloads.Benchmark, processors, re
 			return Result{}, fmt.Errorf("node: processor %d: %w", pi, s.err)
 		}
 		// Verify each shard against its golden reference.
-		want := b.GoldenStatesStreamed(p.Threads(), records, ShardSeed(seed, pi))
-		for th := range want {
-			for i := range want[th] {
-				if s.states[th][i] != want[th][i] {
-					return Result{}, fmt.Errorf("node: processor %d functional mismatch", pi)
-				}
-			}
+		if err := b.Verify(s.states, p.Threads(), records, ShardSeed(seed, pi)); err != nil {
+			return Result{}, fmt.Errorf("node: processor %d: %w", pi, err)
 		}
 		out.ProcessorTimes[pi] = s.res.Time
 		if s.res.Time > out.Time {

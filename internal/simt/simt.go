@@ -25,10 +25,8 @@ import (
 	"repro/internal/energy"
 	"repro/internal/isa"
 	"repro/internal/layout"
-	"repro/internal/metrics"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/stack"
 )
 
 // Variant selects the SM organization.
@@ -138,7 +136,6 @@ type SM struct {
 	sliceNext []int64
 	ticks     uint64
 	stats     Stats
-	reg       *metrics.Registry
 	running   int
 	// liveSlices holds the indices of slices with at least one non-done
 	// warp, in ascending order (warps never un-halt, so Tick compacts the
@@ -306,18 +303,13 @@ func NewSM(p arch.Params, ep energy.Params, v Variant, l core.Launch) (*SM, erro
 		m.liveSlices[s] = s
 		m.sliceLive[s] = p.Contexts
 	}
-	m.reg = metrics.NewRegistry()
-	m.reg.Counter("core.cycles", func() uint64 { return m.ticks })
-	RegisterStats(m.reg, "simt", func() Stats { return m.stats })
+	node.Metrics.Counter("core.cycles", func() uint64 { return m.ticks })
+	RegisterStats(node.Metrics, "simt", func() Stats { return m.stats })
 	if m.l1 != nil {
-		cache.RegisterStats(m.reg, "cache", m.l1.Stats)
+		cache.RegisterStats(node.Metrics, "cache", m.l1.Stats)
 	}
 	if m.buf != nil {
-		m.buf.RegisterMetrics(m.reg, "prefetch")
-	}
-	node.Mem.RegisterMetrics(m.reg)
-	if node.Stack != nil {
-		stack.RegisterMetrics(m.reg, node.Stack)
+		m.buf.RegisterMetrics(node.Metrics, "prefetch")
 	}
 
 	if err := node.AttachCompute(m); err != nil {
@@ -1051,57 +1043,37 @@ func (m *SM) retryBlocks(w *warp) {
 
 // Run executes to completion and returns aggregated results.
 func (m *SM) Run(limit sim.Time) (Result, error) {
-	t, err := m.node.Run(limit)
+	rs, err := m.node.Run(limit)
 	if err != nil {
 		return Result{}, err
 	}
-	r := Result{Time: t, ComputeCycles: m.ticks, SM: m.stats}
-	ds := m.node.Mem.DRAMStats()
-	r.DRAM = core.DRAMStats{RowHits: ds.RowHits, RowMisses: ds.RowMisses, BytesRead: ds.BytesRead, Requests: ds.Requests}
-	cs := m.node.Mem.CtlStats()
-	r.Mem = core.MemStats{StallCycles: cs.StallCycles, MaxOccupancy: cs.MaxOccupancy, Rejected: cs.Rejected}
-	if m.node.Stack != nil {
-		r.Stack = m.node.Stack.Stats()
-	}
+	r := Result{RunStats: rs, SM: m.stats}
 	if m.l1 != nil {
 		r.Cache = m.l1.Stats()
 	}
 	if m.buf != nil {
 		r.Prefetch = m.buf.Stats()
 	}
-	r.Energy = m.energy(t)
-	r.Metrics = m.reg.Snapshot()
-	r.Allocs, r.AllocBytes = m.node.RunAllocs, m.node.RunBytes
-	r.SkippedEdges, r.SkipWindows = m.node.RunSkippedEdges, m.node.RunSkipWindows
+	r.ComputeCycles = m.ticks
+	r.Insts, r.CondBranches = m.stats.ThreadInsts, m.stats.CondBranches
+	r.FinalHz = m.P.ComputeHz
+	r.Energy = m.energy(r)
 	return r, nil
 }
 
-// Result aggregates one SM run.
+// Result is the shared node result plus the SM's execution counters and
+// whichever of the L1 D-cache or row prefetch buffer the variant uses.
 type Result struct {
-	Time          sim.Time
-	ComputeCycles uint64
-	SM            Stats
-	Cache         cache.Stats
-	Prefetch      prefetch.Stats
-	DRAM          core.DRAMStats
-	Mem           core.MemStats
-	Stack         stack.Stats
-	Energy        energy.Breakdown
-	Metrics       metrics.Snapshot
-	// Allocs and AllocBytes count heap allocations made inside the run's
-	// cycle loop (zero in steady state by design; see benchreport).
-	Allocs     uint64
-	AllocBytes uint64
-	// SkippedEdges and SkipWindows report the quiescence fast-forward's
-	// informational counters (results are bit-identical with skipping off).
-	SkippedEdges uint64
-	SkipWindows  uint64
+	arch.RunStats
+	SM       Stats
+	Cache    cache.Stats
+	Prefetch prefetch.Stats
 }
 
 // energy: SIMT amortizes instruction fetch over the warp but pays the
 // shared-memory crossbar on every live-state access and idles lanes on
 // divergence (Section VI-B's explanation of Figure 4).
-func (m *SM) energy(t sim.Time) energy.Breakdown {
+func (m *SM) energy(r Result) energy.Breakdown {
 	ep := m.EP
 	var b energy.Breakdown
 	b.CorePJ = float64(m.stats.WarpInsts)*ep.IFetchWarpPJ +
@@ -1113,9 +1085,8 @@ func (m *SM) energy(t sim.Time) energy.Breakdown {
 	} else {
 		b.CorePJ += float64(m.stats.Transactions) * ep.L1LargePJ
 	}
-	ds := m.node.Mem.DRAMStats()
-	b.DRAMPJ = ep.DRAM(ds.RowMisses, ds.BytesRead)
-	b.LeakPJ = ep.Leakage(m.P.Corelets, float64(t)/1e12)
+	b.DRAMPJ = ep.DRAM(r.DRAM.RowMisses, r.DRAM.BytesRead)
+	b.LeakPJ = ep.Leakage(m.P.Corelets, float64(r.Time)/1e12)
 	return b
 }
 

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,6 +37,7 @@ import (
 	"repro/internal/rescache"
 	"repro/internal/router"
 	"repro/internal/server"
+	"repro/internal/stats"
 )
 
 func init() {
@@ -115,7 +115,7 @@ func run(ctx context.Context, p arch.Params, o harness.ExpOptions) (harness.Expe
 
 // loadStep runs one closed-loop offered-load step and returns its SLA row.
 func loadStep(client *http.Client, srvA, srvB *server.Server, clients int, rng *datagen.RNG, scaleOf func(int) float64) (harness.Row, error) {
-	before := sum(srvA.Metrics(), srvB.Metrics())
+	before := metrics.Sum(srvA.Metrics(), srvB.Metrics())
 
 	// Pre-draw the variant sequence so the request mix does not depend on
 	// goroutine interleaving.
@@ -156,7 +156,7 @@ func loadStep(client *http.Client, srvA, srvB *server.Server, clients int, rng *
 		return harness.Row{}, firstErr
 	}
 
-	delta := metrics.Diff(sum(srvA.Metrics(), srvB.Metrics()), before)
+	delta := metrics.Diff(metrics.Sum(srvA.Metrics(), srvB.Metrics()), before)
 	hits := delta.Value("server.cache_hits")
 	shared := delta.Value("server.cache_shared_hits")
 	misses := delta.Value("server.cache_misses")
@@ -170,13 +170,12 @@ func loadStep(client *http.Client, srvA, srvB *server.Server, clients int, rng *
 	waitH, _ := delta.Get("server.job_wait_ms")
 	runH, _ := delta.Get("server.job_run_ms")
 
-	sort.Float64s(latencies)
 	return harness.Row{Bench: fmt.Sprintf("%dcli", clients), Values: map[string]float64{
 		"clients":      float64(clients),
 		"achieved_rps": float64(len(latencies)) / elapsed,
-		"p50_ms":       percentile(latencies, 0.50),
-		"p99_ms":       percentile(latencies, 0.99),
-		"hist_p99_ms":  metrics.Pow2BucketPercentile(addBuckets(waitH.Buckets, runH.Buckets), 0.99),
+		"p50_ms":       stats.Percentile(latencies, 0.50),
+		"p99_ms":       stats.Percentile(latencies, 0.99),
+		"hist_p99_ms":  metrics.Pow2BucketPercentile(metrics.AddBuckets(waitH.Buckets, runH.Buckets), 0.99),
 		"hit_rate":     hitRate,
 		"shared_frac":  sharedFrac,
 		"sims":         delta.Value("server.sims_run"),
@@ -230,60 +229,6 @@ func oneRequest(client *http.Client, scale float64) (float64, error) {
 		return 0, fmt.Errorf("sla: job %s failed: %s", sb.ID, sb.Error)
 	}
 	return float64(time.Since(t0)) / float64(time.Millisecond), nil
-}
-
-// sum merges two node snapshots by adding samples of the same name.
-func sum(a, b metrics.Snapshot) metrics.Snapshot {
-	out := a
-	for _, sm := range b.Samples {
-		if prev, ok := out.Get(sm.Name); ok {
-			merged := metrics.Sample{Name: sm.Name, Kind: sm.Kind}
-			if sm.Kind == metrics.Histogram {
-				merged.Buckets = addBuckets(prev.Buckets, sm.Buckets)
-			} else {
-				merged.Value = prev.Value + sm.Value
-			}
-			out.Put(merged)
-		} else {
-			out.Put(sm)
-		}
-	}
-	return out
-}
-
-func addBuckets(a, b []uint64) []uint64 {
-	n := max(len(a), len(b))
-	out := make([]uint64, n)
-	for i := range out {
-		if i < len(a) {
-			out[i] += a[i]
-		}
-		if i < len(b) {
-			out[i] += b[i]
-		}
-	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(xs))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(xs) {
-		i = len(xs) - 1
-	}
-	return xs[i]
 }
 
 // inprocTransport dispatches requests to in-process handlers by origin —

@@ -23,9 +23,7 @@ import (
 	"repro/internal/corelet"
 	"repro/internal/energy"
 	"repro/internal/layout"
-	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stack"
 )
 
 // Processor is one SSMC processor plus its memory side.
@@ -40,29 +38,14 @@ type Processor struct {
 	cluster *corelet.Cluster
 	caches  []*cache.Cache
 	ticks   uint64
-	reg     *metrics.Registry
 }
 
-// Result aliases the Millipede result shape with cache stats in place of
-// prefetch stats.
+// Result is the shared node result plus the SSMC counters: cache stats in
+// place of Millipede's prefetch stats.
 type Result struct {
-	Time          sim.Time
-	ComputeCycles uint64
-	Cores         corelet.Stats
-	Cache         cache.Stats
-	DRAM          core.DRAMStats
-	Mem           core.MemStats
-	Stack         stack.Stats
-	Energy        energy.Breakdown
-	Metrics       metrics.Snapshot
-	// Allocs and AllocBytes count heap allocations made inside the run's
-	// cycle loop (zero in steady state by design; see benchreport).
-	Allocs     uint64
-	AllocBytes uint64
-	// SkippedEdges and SkipWindows report the quiescence fast-forward's
-	// informational counters (results are bit-identical with skipping off).
-	SkippedEdges uint64
-	SkipWindows  uint64
+	arch.RunStats
+	Cores corelet.Stats
+	Cache cache.Stats
 }
 
 // NewProcessor builds and loads an SSMC processor for one launch.
@@ -146,24 +129,15 @@ func NewProcessor(p arch.Params, ep energy.Params, l core.Launch) (*Processor, e
 		}
 	}
 
-	pr.reg = metrics.NewRegistry()
-	pr.reg.Counter("core.cycles", func() uint64 { return pr.ticks })
-	corelet.RegisterStats(pr.reg, "corelet", pr.coreStats)
-	cache.RegisterStats(pr.reg, "cache", pr.cacheStats)
-	node.Mem.RegisterMetrics(pr.reg)
-	if node.Stack != nil {
-		stack.RegisterMetrics(pr.reg, node.Stack)
-	}
+	node.Metrics.Counter("core.cycles", func() uint64 { return pr.ticks })
+	corelet.RegisterStats(node.Metrics, "corelet", pr.cluster.Stats)
+	cache.RegisterStats(node.Metrics, "cache", pr.cacheStats)
 
 	if err := node.AttachCompute(pr); err != nil {
 		return nil, err
 	}
 	return pr, nil
 }
-
-// coreStats supplies the aggregate execution counters for the registry and
-// the Result.
-func (pr *Processor) coreStats() corelet.Stats { return pr.cluster.Stats() }
 
 // cacheStats aggregates the private L1 D-cache counters.
 func (pr *Processor) cacheStats() cache.Stats {
@@ -216,40 +190,30 @@ func (pr *Processor) SkipTicks(n int64) {
 
 // Run executes to completion and returns aggregated results.
 func (pr *Processor) Run(limit sim.Time) (Result, error) {
-	t, err := pr.node.Run(limit)
+	rs, err := pr.node.Run(limit)
 	if err != nil {
 		return Result{}, err
 	}
-	r := Result{Time: t, ComputeCycles: pr.ticks}
-	r.Cores = pr.coreStats()
-	r.Cache = pr.cacheStats()
-	ds := pr.node.Mem.DRAMStats()
-	r.DRAM = core.DRAMStats{RowHits: ds.RowHits, RowMisses: ds.RowMisses, BytesRead: ds.BytesRead, Requests: ds.Requests}
-	cs := pr.node.Mem.CtlStats()
-	r.Mem = core.MemStats{StallCycles: cs.StallCycles, MaxOccupancy: cs.MaxOccupancy, Rejected: cs.Rejected}
-	if pr.node.Stack != nil {
-		r.Stack = pr.node.Stack.Stats()
-	}
-	r.Allocs, r.AllocBytes = pr.node.RunAllocs, pr.node.RunBytes
-	r.SkippedEdges, r.SkipWindows = pr.node.RunSkippedEdges, pr.node.RunSkipWindows
-	r.Energy = pr.energy(r, t)
-	r.Metrics = pr.reg.Snapshot()
+	r := Result{RunStats: rs, Cores: pr.cluster.Stats(), Cache: pr.cacheStats()}
+	r.ComputeCycles = pr.ticks
+	r.Insts, r.CondBranches = r.Cores.Instructions, r.Cores.CondBranches
+	r.FinalHz = pr.P.ComputeHz
+	r.Energy = pr.energy(r)
 	return r, nil
 }
 
 // energy: SSMC cores pay the same MIMD instruction costs as Millipede, but
 // both the live state and the streaming input go through the 5 KB L1
 // D-cache rather than a local SRAM + prefetch-buffer slice.
-func (pr *Processor) energy(r Result, t sim.Time) energy.Breakdown {
+func (pr *Processor) energy(r Result) energy.Breakdown {
 	ep := pr.EP
 	var b energy.Breakdown
 	b.CorePJ = float64(r.Cores.Instructions)*(ep.InstPJ+ep.IFetchMIMDPJ) +
 		float64(r.Cores.LocalAccess)*ep.L1SmallPJ +
 		float64(r.Cores.GlobalReads)*ep.L1SmallPJ +
 		float64(r.Cores.IdleCycles)*ep.IdlePJ
-	ds := pr.node.Mem.DRAMStats()
-	b.DRAMPJ = ep.DRAM(ds.RowMisses, ds.BytesRead)
-	b.LeakPJ = ep.Leakage(pr.P.Corelets, float64(t)/1e12)
+	b.DRAMPJ = ep.DRAM(r.DRAM.RowMisses, r.DRAM.BytesRead)
+	b.LeakPJ = ep.Leakage(pr.P.Corelets, float64(r.Time)/1e12)
 	return b
 }
 

@@ -51,6 +51,21 @@ func Median(xs []float64) float64 {
 	return (ys[n/2-1] + ys[n/2]) / 2
 }
 
+// Percentile returns the q-quantile (0 < q <= 1) of xs by the nearest-rank
+// rule: the k-th smallest value with k = ceil(q*n), so the p50 of [1 2 3]
+// is 2 and the p99 of 150 values is the 149th. It returns 0 for empty
+// input; xs need not be sorted.
+func Percentile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	ys := append([]float64(nil), xs...)
+	sort.Float64s(ys)
+	k := int(math.Ceil(q * float64(len(ys))))
+	k = max(1, min(k, len(ys)))
+	return ys[k-1]
+}
+
 // MonotoneUp reports whether xs is non-decreasing within tolerance tol
 // (relative): xs[i+1] >= xs[i]*(1-tol).
 func MonotoneUp(xs []float64, tol float64) bool {

@@ -35,6 +35,36 @@ func TestMeanMedian(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank: the k-th smallest value with k = ceil(q*n).
+func TestPercentileNearestRank(t *testing.T) {
+	seq := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(n - i) // descending: Percentile must sort
+		}
+		return xs
+	}
+	cases := []struct {
+		xs   []float64
+		q    float64
+		want float64
+	}{
+		{nil, 0.5, 0},
+		{[]float64{7}, 0.99, 7},
+		{[]float64{1, 2, 3}, 0.50, 2}, // not the minimum
+		{[]float64{3, 1, 2}, 1.0, 3},
+		{seq(150), 0.99, 149}, // the 149th of 150, not the 148th
+		{seq(150), 0.50, 75},
+		{seq(100), 0.99, 99},
+		{seq(4), 0.01, 1}, // rank rounds up to at least 1
+	}
+	for _, c := range cases {
+		if got := Percentile(c.xs, c.q); got != c.want {
+			t.Errorf("Percentile(%d values, %g) = %g, want %g", len(c.xs), c.q, got, c.want)
+		}
+	}
+}
+
 func TestMonotoneUp(t *testing.T) {
 	if !MonotoneUp([]float64{1, 2, 3}, 0) {
 		t.Error("strictly increasing rejected")

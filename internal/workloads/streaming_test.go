@@ -5,50 +5,8 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"repro/internal/datagen"
 	"repro/internal/kernels"
 )
-
-// legacySplitStreams is a pinned copy of datagen.SplitStreams as it shipped
-// before the streaming API: contiguous whole-record slices, remainder
-// records dropped. The live shim must reproduce it byte for byte.
-func legacySplitStreams(words []uint32, recordWords, threads int) [][]uint32 {
-	records := len(words) / recordWords
-	per := records / threads
-	out := make([][]uint32, threads)
-	for t := 0; t < threads; t++ {
-		start := t * per * recordWords
-		out[t] = words[start : start+per*recordWords]
-	}
-	return out
-}
-
-// TestSplitStreamsMatchesLegacy checks the deprecated SplitStreams shim
-// against the pinned legacy implementation on every kernel's real generated
-// data, including a remainder that must be dropped.
-func TestSplitStreamsMatchesLegacy(t *testing.T) {
-	const threads = 4
-	for _, b := range All() {
-		rw := b.K.RecordWords
-		records := threads*testRecords(b) + 3 // +3: remainder exercises the drop
-		words := b.Gen(datagen.NewRNG(1234), records).Materialize()
-		got := datagen.SplitStreams(words, rw, threads)
-		want := legacySplitStreams(words, rw, threads)
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d streams, want %d", b.Name(), len(got), len(want))
-		}
-		for th := range want {
-			if len(got[th]) != len(want[th]) {
-				t.Fatalf("%s: stream %d has %d words, want %d", b.Name(), th, len(got[th]), len(want[th]))
-			}
-			for i := range want[th] {
-				if got[th][i] != want[th][i] {
-					t.Fatalf("%s: stream %d diverges from the legacy split at word %d", b.Name(), th, i)
-				}
-			}
-		}
-	}
-}
 
 // TestStreamingConstantMemory is the constant-memory guarantee, enforced: it
 // folds a dataset ~800x the default per-thread input (about 13 MB per

@@ -179,6 +179,30 @@ func (b *Benchmark) GoldenStatesStreamed(threads, records int, seed uint64) [][]
 	return out
 }
 
+// Verify checks per-thread live states read back from a simulated machine
+// (see ExtractStates) against the golden reference for threads x records
+// records of the seeded dataset, and names the first mismatching thread and
+// word.
+func (b *Benchmark) Verify(got [][]uint32, threads, records int, seed uint64) error {
+	want := b.GoldenStatesStreamed(threads, records, seed)
+	if len(got) != len(want) {
+		return fmt.Errorf("workloads: %s: %d thread states, want %d", b.Name(), len(got), len(want))
+	}
+	for th := range want {
+		if len(got[th]) != len(want[th]) {
+			return fmt.Errorf("workloads: %s: thread %d has %d state words, want %d",
+				b.Name(), th, len(got[th]), len(want[th]))
+		}
+		for i := range want[th] {
+			if got[th][i] != want[th][i] {
+				return fmt.Errorf("workloads: %s functional mismatch at thread %d word %d: got %#x, want %#x",
+					b.Name(), th, i, got[th][i], want[th][i])
+			}
+		}
+	}
+	return nil
+}
+
 // Job exposes the benchmark as a mapreduce.Job: Map is the per-record Fold
 // and Merge applies the ReduceSpec — the exact host-Reduce semantics, now
 // usable by the generic framework (per-node and tree Reduce in the cluster

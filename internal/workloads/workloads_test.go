@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -119,6 +120,26 @@ func TestMillipedeNoFlowControlStillCorrect(t *testing.T) {
 	}
 	got := ExtractStates(b, sl, lay, pr.ReadState)
 	compareStates(t, b, got, b.GoldenStates(streams, records))
+}
+
+// TestVerifyNamesFirstMismatch: Verify accepts the golden states themselves
+// and, for a corrupted copy, reports the first differing thread and word.
+func TestVerifyNamesFirstMismatch(t *testing.T) {
+	b := CountBench()
+	const threads, records, seed = 4, 16, 9
+	got := b.GoldenStatesStreamed(threads, records, seed)
+	if err := b.Verify(got, threads, records, seed); err != nil {
+		t.Fatalf("golden states rejected: %v", err)
+	}
+	got[2][1]++
+	got[3][0]++
+	err := b.Verify(got, threads, records, seed)
+	if err == nil || !strings.Contains(err.Error(), "thread 2 word 1") {
+		t.Errorf("Verify = %v, want a mismatch at thread 2 word 1", err)
+	}
+	if err := b.Verify(got[:3], threads, records, seed); err == nil {
+		t.Error("Verify accepted a missing thread")
+	}
 }
 
 func TestGoldenDeterminism(t *testing.T) {

@@ -312,7 +312,7 @@ func RunReduced(archName, bench string, cfg Config, recordsPerThread int, opts .
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return harness.RunWith(archName, b, cfg, recordsPerThread, applyOptions(opts).harnessOptions())
+	return harness.Run(archName, b, cfg, recordsPerThread, applyOptions(opts).harnessOptions())
 }
 
 // BarrierAblation reproduces the paper's Section IV-C software-barrier
@@ -383,12 +383,10 @@ func RunNode(bench string, cfg Config, processors, recordsPerThread int, opts ..
 // the frequency chosen).
 type DFSSample = core.DFSSample
 
-// RateTrace runs a benchmark on rate-matched Millipede and returns the DFS
-// clock trajectory (frequency changes only) with the verified measurement.
+// RateTrace runs a benchmark on rate-matched Millipede (ArchMillipedeRM,
+// which turns flow control on) and returns the DFS clock trajectory
+// (frequency changes only) with the verified measurement.
 func RateTrace(bench string, cfg Config, recordsPerThread int) ([]DFSSample, Result, error) {
-	b, err := workloads.ByName(bench)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	return harness.RateTrace(b, cfg, recordsPerThread)
+	res, err := RunBenchmark(ArchMillipedeRM, bench, cfg, recordsPerThread)
+	return res.DFS, res, err
 }

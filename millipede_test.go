@@ -99,6 +99,11 @@ func TestPublicRateTrace(t *testing.T) {
 	if res.FinalHz >= cfg.ComputeHz {
 		t.Errorf("final clock %.0f not below nominal", res.FinalHz)
 	}
+	// The trace comes from the same verified run path as RunBenchmark, so
+	// the measurement is complete, not just time and energy.
+	if res.Cycles == 0 || len(res.Metrics.Samples) == 0 {
+		t.Errorf("incomplete rate-trace result: %d cycles, %d metric samples", res.Cycles, len(res.Metrics.Samples))
+	}
 }
 
 func TestBenchmarksCachedCopy(t *testing.T) {
