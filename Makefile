@@ -33,8 +33,12 @@ test:
 #   TestRunResultsPinned — every architecture's full result (timing, energy,
 #     memory and stack counters, metrics, reduced output) matches a pinned
 #     hash.
-# It also vets and tests the bench/ module (millibench), which imports the
-# processor models and the harness and so breaks when their API does.
+# It also runs a 20 s native fuzz smoke of FuzzAdvanceMatchesLockstep (the
+# corelet run-ahead sweep against the lockstep sweep on generated and BMLA
+# kernels; a failing input lands in internal/corelet/testdata/fuzz and
+# becomes part of the plain test run once committed), and vets and tests the
+# bench/ module (millibench), which imports the processor models and the
+# harness and so breaks when their API does.
 #
 # The harness race suite runs ~10 minutes of simulation wall time on its
 # own (the alloc-free and bit-identity gates each replay full benchmark
@@ -46,6 +50,7 @@ check:
 		./internal/corelet ./internal/mem ./internal/memctrl ./internal/stack \
 		./internal/datagen ./internal/workloads \
 		./internal/jobs ./internal/rescache ./internal/server ./internal/router ./internal/sla
+	$(GO) test -run '^$$' -fuzz FuzzAdvanceMatchesLockstep -fuzztime 20s ./internal/corelet
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

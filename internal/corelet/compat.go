@@ -44,7 +44,7 @@ func NewDecoded(ids IDs, code *Code, localBytes int, lat Latencies, port GlobalP
 }
 
 // Tick advances the corelet one compute cycle.
-func (c *Corelet) Tick() { c.cl.TickCore(0) }
+func (c *Corelet) Tick() { c.cl.tickCore(0) }
 
 // Halted reports whether all contexts have executed HALT.
 func (c *Corelet) Halted() bool { return c.cl.CoreHalted(0) }

@@ -13,7 +13,10 @@
 // A processor's corelets live together in a Cluster: every hot word of
 // per-corelet state (PCs, register files, ready bitmaps, issue cooldowns,
 // local memories) is an entry in a structure-of-arrays image indexed by
-// (corelet, context), swept in corelet order once per cycle. The interpreter
+// (corelet, context), swept in corelet order once per cycle. The sweep steps
+// a corelet in lockstep only through instructions that touch shared state or
+// could fault; between them, a corelet with no waiting context runs ahead in
+// one burst (see Advance), which changes no simulated event. The interpreter
 // runs over a predecoded Code image shared read-only by the whole cluster
 // (the paper's one-time code broadcast): each instruction carries its class
 // and issue latency resolved at decode time and the datapath is evaluated in
@@ -87,17 +90,29 @@ type Stats struct {
 }
 
 // dinst is one predecoded instruction: the hot fields of isa.Inst plus the
-// class and issue latency resolved at decode time, packed to 16 bytes so the
-// fetch is a single shift-indexed load with no dependent table lookups.
+// class, issue latency and run-ahead mark resolved at decode time, packed to
+// 16 bytes so the fetch is a single shift-indexed load with no dependent
+// table lookups.
 type dinst struct {
 	op           isa.Op
 	class        isa.Class
 	rd, rs1, rs2 uint8
-	_            uint8
+	mark         uint8
 	lat          uint16
 	imm          int32
 	_            uint32 // pad to 16 bytes: power-of-two stride for ops[pc]
 }
+
+// Run-ahead marks (dinst.mark). A burst never issues a markLockstep
+// instruction: it touches shared state (LDG, LDS, BAR), halts a context
+// (HALT), or always faults (STG, an unhandled op, CSRR of an unknown CSR), so
+// the lockstep sweep issues it at its own (cycle, corelet) slot. A markLocal
+// instruction (LW, SW) faults only on a bad address, which the burst checks
+// before issuing it.
+const (
+	markLockstep uint8 = 1 << iota
+	markLocal
+)
 
 // Code is a program predecoded against one latency configuration. A
 // processor decodes its kernel once and shares the image read-only across
@@ -133,12 +148,21 @@ func Decode(prog *isa.Program, lat Latencies) (*Code, error) {
 		if l < 0 || l > math.MaxUint16 {
 			return nil, fmt.Errorf("corelet: latency %d for %v out of range", l, in.Op)
 		}
+		var mark uint8
+		switch {
+		case class == isa.ClassGlobalMem, class == isa.ClassHalt, in.Op == isa.BAR,
+			!in.Op.Valid(), in.Op == isa.CSRR && !knownCSR(in.Imm):
+			mark = markLockstep
+		case class == isa.ClassLocalMem:
+			mark = markLocal
+		}
 		code.ops[i] = dinst{
 			op:    in.Op,
 			class: class,
 			rd:    in.Rd & (isa.NumRegs - 1),
 			rs1:   in.Rs1 & (isa.NumRegs - 1),
 			rs2:   in.Rs2 & (isa.NumRegs - 1),
+			mark:  mark,
 			lat:   uint16(l),
 			imm:   in.Imm,
 		}
@@ -204,9 +228,9 @@ type ctxHot struct {
 }
 
 // coreHot is one corelet's scheduler header: the runnable-context bitmap,
-// the corelet-local cycle count (the multicore model ticks cores unevenly),
-// the round-robin pointer, and the halted-context count, packed into half a
-// cache line.
+// the corelet-local cycle count (ahead of the sweep while the corelet runs
+// ahead; the multicore model also ticks cores unevenly), the round-robin
+// pointer, and the halted-context count, packed into half a cache line.
 type coreHot struct {
 	ready  uint64 // bitmap of runnable contexts (waiting/halted bits clear)
 	cycle  int64
@@ -225,6 +249,10 @@ type coreHot struct {
 // — and therefore timing — identical to the per-corelet object model it
 // replaces.
 type Cluster struct {
+	// now is the cluster cycle: the number of Ticks and skipped ticks.
+	// Every active corelet's cycle is at least now, and above it while the
+	// corelet runs ahead.
+	now  int64
 	code *Code
 	ops  []dinst // == code.ops, one indexed load off the cluster
 	// Hot state, SoA: per-context and per-corelet headers plus the packed
@@ -401,6 +429,16 @@ func (cl *Cluster) csr(c, ctx int, n int32) uint32 {
 	panic(fmt.Sprintf("corelet: unknown CSR %d", n))
 }
 
+// knownCSR reports whether csr can read CSR n.
+func knownCSR(n int32) bool {
+	switch n {
+	case isa.CSRCoreletID, isa.CSRContextID, isa.CSRNumCorelet,
+		isa.CSRNumContext, isa.CSRThreadID, isa.CSRNumThreads:
+		return true
+	}
+	return false
+}
+
 // Stats aggregates the cluster's execution counters. The aggregates that are
 // fully determined by per-class counts are derived here rather than
 // maintained with separate increments on the interpret hot path: every
@@ -426,18 +464,66 @@ func (cl *Cluster) Stats() Stats {
 	return s
 }
 
-// Tick advances every live corelet one compute cycle: each issues at most
-// one instruction from its next ready context in round-robin order. Halted
+// Tick advances the cluster one compute cycle: every active corelet is
+// advanced to the new cluster cycle in index order (see Advance). A corelet
+// that has run ahead is skipped until the cluster catches up; halted
 // corelets are skipped via the active bitmap.
 func (cl *Cluster) Tick() {
+	cl.now++
+	now := cl.now
 	for w, word := range cl.active {
 		base := w * 64
 		for word != 0 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			cl.TickCore(c)
+			if cl.cores[c].cycle < now {
+				cl.Advance(c, now)
+			}
 		}
 	}
+}
+
+// runAheadHorizon caps a burst at this many corelet cycles past the cycle
+// Advance brought the corelet to, so a kernel that spins in registers
+// forever still returns to the sweep, and the engine reaches its time limit
+// at the same simulated instant as under lockstep.
+const runAheadHorizon = 4096
+
+// Advance brings corelet c to cycle to and then lets it run ahead. It steps
+// the corelet in lockstep, one cycle at a time, until its cycle reaches to.
+// Then, while no context waits on a memory wake or a barrier release, it
+// keeps issuing with exactly the lockstep scheduler's choices, up to but not
+// including the first cycle whose pick must stay in lockstep: a marked
+// instruction (see markLockstep), a PC outside the program, or an LW/SW that
+// would fault. The burst also stops runAheadHorizon cycles past to.
+//
+// A burst is bit-identical to lockstep because only three things change a
+// corelet's state: its own issue, a memory wake and a barrier release, and
+// the last two only target a waiting context. Until its next marked
+// instruction a corelet without waiting contexts touches nothing but its own
+// registers, local memory and scheduler headers, plus the cluster's summed
+// counters; so every port access, barrier arrival and HALT still happens at
+// the same cycle, in the same corelet order. A tracer on any corelet forces
+// lockstep, because trace events interleave with other components' events
+// by tick.
+func (cl *Cluster) Advance(c int, to int64) {
+	hd := &cl.cores[c]
+	if hd.cycle >= to {
+		return // still ahead from an earlier burst
+	}
+	cl.interpret(c, to, false)
+	if m := hd.ready; m != cl.ctxMask && (m == 0 || bits.OnesCount64(m)+int(hd.haltCt) != cl.nctx) || cl.tracers != nil {
+		return // a context waits (or all halted), or a tracer watches
+	}
+	cl.interpret(c, to+runAheadHorizon, true)
+}
+
+// localOK reports whether LW/SW in, issued by context k of corelet c,
+// addresses an aligned word inside local memory (localIndex would not
+// fault).
+func (cl *Cluster) localOK(c, k int, in *dinst) bool {
+	addr := uint32(int32(cl.regs[(c*cl.nctx+k)*isa.NumRegs+int(in.rs1&31)]) + in.imm)
+	return addr&3 == 0 && int(addr>>2) < cl.localWords
 }
 
 // NeverTicks is the NextWorkTicks sentinel: every runnable context is
@@ -446,11 +532,9 @@ func (cl *Cluster) Tick() {
 const NeverTicks = int64(1<<63 - 1)
 
 // NextWorkTicks returns the number of cluster ticks from now until the
-// earliest tick at which any active corelet could issue: 1 means the very
-// next tick (busy), NeverTicks means every context is parked on a wake.
-// The bound is exact given the scheduler headers: a corelet cannot issue
-// before cores[c].earliest, and wakes (which reset earliest) only run from
-// memory-domain work ticks, which end any skip window.
+// earliest tick at which any active corelet needs the sweep (CoreNextWork):
+// 1 means the very next tick (busy), NeverTicks means every context is
+// parked on a wake.
 func (cl *Cluster) NextWorkTicks() int64 {
 	w := NeverTicks
 	for wi, word := range cl.active {
@@ -458,98 +542,83 @@ func (cl *Cluster) NextWorkTicks() int64 {
 		for word != 0 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			hd := &cl.cores[c]
-			if hd.ready == 0 {
-				continue
-			}
-			e := hd.earliest - hd.cycle
+			e := cl.CoreNextWork(c, cl.now)
 			if e <= 1 {
 				return 1
 			}
-			if e < w {
-				w = e
-			}
+			w = min(w, e)
 		}
 	}
 	return w
 }
 
-// SkipTicks replays n dead cluster ticks: every active corelet's cycle
-// counter advances and each elided corelet-tick counts as an idle cycle,
-// exactly as TickCore's dead paths would have tallied.
+// SkipTicks replays n dead cluster ticks on every active corelet
+// (SkipCore).
 func (cl *Cluster) SkipTicks(n int64) {
-	na := 0
+	cl.now += n
 	for wi, word := range cl.active {
 		base := wi * 64
 		for word != 0 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			cl.cores[c].cycle += n
-			na++
+			cl.SkipCore(c, cl.now)
 		}
 	}
-	cl.st.idleCycles += uint64(n) * uint64(na)
 }
 
-// CoreNextIssueDelta returns, for one corelet, the distance in corelet
-// cycles from its current cycle to the earliest cycle it could issue:
-// NeverTicks when no context is runnable, otherwise earliest-cycle (which
-// may be <= 0 when it could issue on its very next cycle). The multicore
-// model, which ticks cores unevenly, derives its quiescence window from it.
-func (cl *Cluster) CoreNextIssueDelta(c int) int64 {
+// CoreNextWork returns the distance in corelet cycles from now (the cycle
+// the caller last advanced corelet c to) to the first cycle at which
+// Advance must step the corelet in lockstep; values <= 1 mean the very next
+// cycle. A corelet that has run ahead needs the sweep at its cycle+1. One in
+// step with now cannot issue before cores[c].earliest, and is NeverTicks
+// away when no context is runnable: wakes, which reset earliest, only run
+// from memory-domain work ticks, and those end any skip window.
+func (cl *Cluster) CoreNextWork(c int, now int64) int64 {
 	hd := &cl.cores[c]
+	if hd.cycle > now {
+		return hd.cycle + 1 - now
+	}
 	if hd.ready == 0 {
 		return NeverTicks
 	}
-	return hd.earliest - hd.cycle
+	return hd.earliest - now
 }
 
-// SkipCoreTicks replays n dead cycles on a single corelet (the multicore
-// model's per-core slots), advancing its cycle counter and idle tally.
-func (cl *Cluster) SkipCoreTicks(c int, n int64) {
-	cl.cores[c].cycle += n
-	cl.st.idleCycles += uint64(n)
-}
-
-// TickCore advances a single corelet one cycle (the multicore model hands
-// each core several issue slots per system cycle; a mid-cycle halt still
-// burns its remaining slots as idle, as the object-per-core model did).
-func (cl *Cluster) TickCore(c int) {
-	st := &cl.st
+// SkipCore replays corelet c's dead cycles up to cycle to: its cycle
+// counter advances and each elided cycle counts as idle, exactly as
+// tickCore's dead paths would have tallied. Cycles a burst already
+// simulated are not replayed; CoreNextWork guarantees to stays short of
+// any cycle the corelet could issue in.
+func (cl *Cluster) SkipCore(c int, to int64) {
 	hd := &cl.cores[c]
-	hd.cycle++
-	cyc := hd.cycle
+	if n := to - hd.cycle; n > 0 {
+		hd.cycle = to
+		cl.st.idleCycles += uint64(n)
+	}
+}
+
+// tickCore advances a single corelet one cycle in lockstep: it issues at
+// most one instruction, from its next ready context in round-robin order.
+func (cl *Cluster) tickCore(c int) { cl.interpret(c, cl.cores[c].cycle+1, false) }
+
+// pick returns the context corelet c issues from at cycle cyc when its
+// round-robin pointer is rr: the first runnable context with readyAt <= cyc
+// in circular order after rr. If there is none it records the earliest
+// readyAt among runnable contexts in hd.earliest and returns -1. hd.ready
+// must be non-zero.
+func (cl *Cluster) pick(c int, hd *coreHot, rr int, cyc int64) int {
 	m := hd.ready
-	if m == 0 {
-		st.idleCycles++
-		return
-	}
-	if hd.earliest > cyc {
-		// Every runnable context is still covering issue latency; the scan
-		// below cannot succeed before earliest, and wakes reset it.
-		st.idleCycles++
-		return
-	}
 	n := cl.nctx
+	low := int64(math.MaxInt64)
 	if n == 4 {
 		// Default geometry: a four-probe circular scan beats the bitmap
 		// segment walk, and the fixed-size array view drops bounds checks.
 		ctxs := (*[4]ctxHot)(cl.ctxs[c*4:])
-		k := int(hd.rr+1) & 3
-		if m == 15 && ctxs[k].readyAt <= cyc {
-			// Streaming steady state: all four contexts runnable and the
-			// round-robin successor ready — no bit tests, one probe.
-			hd.rr = int32(k)
-			cl.exec(c, k, cyc)
-			return
-		}
-		low := int64(math.MaxInt64)
+		k := (rr + 1) & 3
 		for i := 0; i < 4; i++ {
 			if m>>uint(k)&1 != 0 {
 				if r := ctxs[k].readyAt; r <= cyc {
-					hd.rr = int32(k)
-					cl.exec(c, k, cyc)
-					return
+					return k
 				} else if r < low {
 					low = r
 				}
@@ -557,10 +626,9 @@ func (cl *Cluster) TickCore(c int) {
 			k = (k + 1) & 3
 		}
 		hd.earliest = low
-		st.idleCycles++
-		return
+		return -1
 	}
-	start := int(hd.rr) + 1
+	start := rr + 1
 	if start >= n {
 		start = 0
 	}
@@ -568,13 +636,10 @@ func (cl *Cluster) TickCore(c int) {
 	// [0..start-1]. Each probe pops the lowest set bit, so only runnable
 	// contexts are touched.
 	ctxs := cl.ctxs[c*n : c*n+n]
-	low := int64(math.MaxInt64)
 	for seg := m >> uint(start) << uint(start); seg != 0; seg &= seg - 1 {
 		k := bits.TrailingZeros64(seg)
 		if r := ctxs[k].readyAt; r <= cyc {
-			hd.rr = int32(k)
-			cl.exec(c, k, cyc)
-			return
+			return k
 		} else if r < low {
 			low = r
 		}
@@ -582,15 +647,13 @@ func (cl *Cluster) TickCore(c int) {
 	for seg := m & (1<<uint(start) - 1); seg != 0; seg &= seg - 1 {
 		k := bits.TrailingZeros64(seg)
 		if r := ctxs[k].readyAt; r <= cyc {
-			hd.rr = int32(k)
-			cl.exec(c, k, cyc)
-			return
+			return k
 		} else if r < low {
 			low = r
 		}
 	}
 	hd.earliest = low
-	st.idleCycles++
+	return -1
 }
 
 // advanceStream steps the hardware stream walker (isa.LDS semantics).
@@ -603,260 +666,312 @@ func advanceStream(regs *[isa.NumRegs]uint32) {
 	}
 }
 
-// exec interprets one instruction for context k of corelet c. The datapath,
-// branch conditions, and special cases all live in one switch over the
-// predecoded opcode, so each instruction costs a single dispatch; class
-// counting and issue latency come from the decoded fields.
-func (cl *Cluster) exec(c, k int, cyc int64) {
+// interpret runs corelet c's cycles from hd.cycle+1 up to cycle limit: each
+// cycle issues at most one instruction, from the next ready context in
+// round-robin order, and a cycle with no ready context is idle. In lockstep
+// (burst false) every instruction issues, and a corelet without a runnable
+// context idles straight to limit. A burst (see Advance) runs only while no
+// context waits and stops, without issuing, before the first cycle whose pick
+// must stay in lockstep.
+//
+// The interpreter is inline in the loop, so a burst pays no call per
+// instruction: the datapath, branch conditions, and special cases all live
+// in one switch over the predecoded opcode, each case ending the cycle with
+// continue; class counting and issue latency come from the decoded fields.
+// The cycle and round-robin pointer are committed to the header before the
+// instruction runs, because a port access or barrier arrival may call back
+// into the cluster (a wake) before it returns.
+func (cl *Cluster) interpret(c int, limit int64, burst bool) {
 	st := &cl.st
-	idx := c*cl.nctx + k
-	ct := &cl.ctxs[idx]
-	pc := ct.pc
-	in := &cl.ops[pc]
-	if cl.tracers != nil {
-		if t := cl.tracers[c]; t != nil {
-			t(cyc, k, int(pc), cl.code.prog.Insts[pc])
+	hd := &cl.cores[c]
+	n := cl.nctx
+	ctxs := cl.ctxs[c*n : c*n+n]
+	ops := cl.ops
+	for hd.cycle < limit {
+		cyc := hd.cycle + 1
+		if hd.ready == 0 || hd.earliest > cyc {
+			// No runnable context, or every runnable one still covering
+			// issue latency (the scan cannot succeed before earliest;
+			// wakes reset it): idle up to earliest, or to limit.
+			to := limit
+			if hd.ready != 0 {
+				to = min(hd.earliest-1, limit)
+			}
+			st.idleCycles += uint64(to - hd.cycle)
+			hd.cycle = to
+			continue
 		}
-	}
-	// Register indices are masked to the register-file size (already
-	// guaranteed by Decode), which lets the compiler elide bounds checks.
-	regs := (*[isa.NumRegs]uint32)(cl.regs[idx*isa.NumRegs:])
-	a := regs[in.rs1&31]
-	b := regs[in.rs2&31]
-	var v uint32
+		// Streaming steady state first: every context runnable and the
+		// round-robin successor ready, one probe; otherwise the full scan.
+		k := int(hd.rr) + 1
+		if k == n {
+			k = 0
+		}
+		if hd.ready != cl.ctxMask || ctxs[k].readyAt > cyc {
+			if k = cl.pick(c, hd, int(hd.rr), cyc); k < 0 {
+				st.idleCycles++
+				hd.cycle = cyc
+				continue
+			}
+		}
+		ct := &ctxs[k]
+		pc := ct.pc
+		if burst {
+			if uint32(pc) >= uint32(len(ops)) {
+				return // the lockstep sweep raises the bad-PC fault
+			}
+			if in := &ops[pc]; in.mark != 0 && (in.mark&markLockstep != 0 || !cl.localOK(c, k, in)) {
+				return
+			}
+		}
+		in := &ops[pc]
+		hd.cycle = cyc
+		hd.rr = int32(k)
+		idx := c*n + k
+		if cl.tracers != nil {
+			if t := cl.tracers[c]; t != nil {
+				t(cyc, k, int(pc), cl.code.prog.Insts[pc])
+			}
+		}
+		// Register indices are masked to the register-file size (already
+		// guaranteed by Decode), which lets the compiler elide bounds checks.
+		regs := (*[isa.NumRegs]uint32)(cl.regs[idx*isa.NumRegs:])
+		a := regs[in.rs1&31]
+		b := regs[in.rs2&31]
+		var v uint32
 
-	switch in.op {
-	case isa.NOP:
-		v = 0
-	case isa.HALT:
-		st.classCounts[in.class&15]++
-		hd := &cl.cores[c]
-		hd.ready &^= 1 << uint(k)
-		hd.haltCt++
-		if int(hd.haltCt) == cl.nctx {
-			cl.active[c/64] &^= 1 << uint(c%64)
-			cl.haltedCores++
-		}
-		return
-	case isa.ADD:
-		v = a + b
-	case isa.SUB:
-		v = a - b
-	case isa.MUL:
-		v = uint32(int32(a) * int32(b))
-	case isa.DIV:
-		ia, ib := int32(a), int32(b)
-		switch {
-		case ib == 0:
-			v = ^uint32(0) // RISC-V semantics: -1 on divide by zero
-		case ia == math.MinInt32 && ib == -1:
-			v = a // overflow: result = dividend
-		default:
-			v = uint32(ia / ib)
-		}
-	case isa.REM:
-		ia, ib := int32(a), int32(b)
-		switch {
-		case ib == 0:
-			v = a
-		case ia == math.MinInt32 && ib == -1:
-			v = 0
-		default:
-			v = uint32(ia % ib)
-		}
-	case isa.AND:
-		v = a & b
-	case isa.OR:
-		v = a | b
-	case isa.XOR:
-		v = a ^ b
-	case isa.SLL:
-		v = a << (b & 31)
-	case isa.SRL:
-		v = a >> (b & 31)
-	case isa.SRA:
-		v = uint32(int32(a) >> (b & 31))
-	case isa.SLT:
-		if int32(a) < int32(b) {
-			v = 1
-		}
-	case isa.SLTU:
-		if a < b {
-			v = 1
-		}
-	case isa.MIN:
-		v = b
-		if int32(a) < int32(b) {
-			v = a
-		}
-	case isa.MAX:
-		v = b
-		if int32(a) > int32(b) {
-			v = a
-		}
-	case isa.ADDI:
-		v = uint32(int32(a) + in.imm)
-	case isa.ANDI:
-		v = a & uint32(in.imm)
-	case isa.ORI:
-		v = a | uint32(in.imm)
-	case isa.XORI:
-		v = a ^ uint32(in.imm)
-	case isa.SLLI:
-		v = a << (uint32(in.imm) & 31)
-	case isa.SRLI:
-		v = a >> (uint32(in.imm) & 31)
-	case isa.SRAI:
-		v = uint32(int32(a) >> (uint32(in.imm) & 31))
-	case isa.SLTI:
-		if int32(a) < in.imm {
-			v = 1
-		}
-	case isa.LUI:
-		v = uint32(in.imm) << 12
-	case isa.FADD:
-		v = isa.Bits(isa.F32(a) + isa.F32(b))
-	case isa.FSUB:
-		v = isa.Bits(isa.F32(a) - isa.F32(b))
-	case isa.FMUL:
-		v = isa.Bits(isa.F32(a) * isa.F32(b))
-	case isa.FDIV:
-		v = isa.Bits(isa.F32(a) / isa.F32(b))
-	case isa.FSQRT:
-		v = isa.Bits(float32(math.Sqrt(float64(isa.F32(a)))))
-	case isa.FMIN:
-		v = isa.Bits(float32(math.Min(float64(isa.F32(a)), float64(isa.F32(b)))))
-	case isa.FMAX:
-		v = isa.Bits(float32(math.Max(float64(isa.F32(a)), float64(isa.F32(b)))))
-	case isa.FLT:
-		if isa.F32(a) < isa.F32(b) {
-			v = 1
-		}
-	case isa.FLE:
-		if isa.F32(a) <= isa.F32(b) {
-			v = 1
-		}
-	case isa.FEQ:
-		if isa.F32(a) == isa.F32(b) {
-			v = 1
-		}
-	case isa.CVTIF:
-		v = isa.Bits(float32(int32(a)))
-	case isa.CVTFI:
-		v = uint32(int32(isa.F32(a)))
-	case isa.LW:
-		addr := uint32(int32(a) + in.imm)
-		v = cl.locals[c*cl.localWords+cl.localIndex(c, addr)]
-	case isa.SW:
-		addr := uint32(int32(a) + in.imm)
-		cl.locals[c*cl.localWords+cl.localIndex(c, addr)] = b
-		st.classCounts[in.class&15]++
-		ct.pc = pc + 1
-		ct.readyAt = cyc + int64(in.lat)
-		return
-	case isa.LDG, isa.LDS:
-		// A global load's timing is resolved before the instruction
-		// retires: on Retry the context stays put and re-issues the same
-		// instruction next cycle; on Pending it sleeps until the memory
-		// system's callback.
-		addr := uint32(int32(a) + in.imm)
-		if in.op == isa.LDS {
-			addr = regs[isa.StreamAddr]
-		}
-		stl := cl.ports[c].Read(k, addr, cl.wakes[idx])
-		switch stl {
-		case Retry:
-			st.retryCycles++
-			return // PC unchanged; retry next cycle
-		case Pending:
-			cl.cores[c].ready &^= 1 << uint(k)
-		}
-		if in.rd != 0 {
-			regs[in.rd&31] = cl.read(addr)
-		}
-		if in.op == isa.LDS {
-			advanceStream(regs)
-		}
-		st.classCounts[in.class&15]++
-		ct.pc = pc + 1
-		if stl == Done {
-			ct.readyAt = cyc + int64(in.lat)
-		}
-		return
-	case isa.STG:
-		// The PNM execution model keeps live state in local memory
-		// (Section III-B); a global store in a kernel is a porting bug,
-		// surfaced loudly rather than silently mis-timed.
-		panic("corelet: STG not supported by the PNM kernels (live state must stay in local memory)")
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
-		st.condBranches++
-		var taken bool
 		switch in.op {
-		case isa.BEQ:
-			taken = a == b
-		case isa.BNE:
-			taken = a != b
-		case isa.BLT:
-			taken = int32(a) < int32(b)
-		case isa.BGE:
-			taken = int32(a) >= int32(b)
-		case isa.BLTU:
-			taken = a < b
-		default: // BGEU
-			taken = a >= b
-		}
-		st.classCounts[in.class&15]++
-		if taken {
-			st.takenCond++
-			ct.pc = in.imm
-			ct.readyAt = cyc + cl.code.takenLat
-			return
-		}
-		ct.pc = pc + 1
-		ct.readyAt = cyc + int64(in.lat)
-		return
-	case isa.J:
-		st.classCounts[in.class&15]++
-		ct.pc = in.imm
-		ct.readyAt = cyc + cl.code.takenLat
-		return
-	case isa.JAL:
-		st.classCounts[in.class&15]++
-		if in.rd != 0 {
-			regs[in.rd&31] = uint32(pc + 1)
-		}
-		ct.pc = in.imm
-		ct.readyAt = cyc + cl.code.takenLat
-		return
-	case isa.JR:
-		st.classCounts[in.class&15]++
-		ct.pc = int32(a)
-		ct.readyAt = cyc + cl.code.takenLat
-		return
-	case isa.CSRR:
-		v = cl.csr(c, k, in.imm)
-	case isa.BAR:
-		if cl.barrier != nil {
+		case isa.NOP:
+			v = 0
+		case isa.HALT:
+			st.classCounts[in.class&15]++
+			hd.ready &^= 1 << uint(k)
+			hd.haltCt++
+			if int(hd.haltCt) == cl.nctx {
+				cl.active[c/64] &^= 1 << uint(c%64)
+				cl.haltedCores++
+			}
+			continue
+		case isa.ADD:
+			v = a + b
+		case isa.SUB:
+			v = a - b
+		case isa.MUL:
+			v = uint32(int32(a) * int32(b))
+		case isa.DIV:
+			ia, ib := int32(a), int32(b)
+			switch {
+			case ib == 0:
+				v = ^uint32(0) // RISC-V semantics: -1 on divide by zero
+			case ia == math.MinInt32 && ib == -1:
+				v = a // overflow: result = dividend
+			default:
+				v = uint32(ia / ib)
+			}
+		case isa.REM:
+			ia, ib := int32(a), int32(b)
+			switch {
+			case ib == 0:
+				v = a
+			case ia == math.MinInt32 && ib == -1:
+				v = 0
+			default:
+				v = uint32(ia % ib)
+			}
+		case isa.AND:
+			v = a & b
+		case isa.OR:
+			v = a | b
+		case isa.XOR:
+			v = a ^ b
+		case isa.SLL:
+			v = a << (b & 31)
+		case isa.SRL:
+			v = a >> (b & 31)
+		case isa.SRA:
+			v = uint32(int32(a) >> (b & 31))
+		case isa.SLT:
+			if int32(a) < int32(b) {
+				v = 1
+			}
+		case isa.SLTU:
+			if a < b {
+				v = 1
+			}
+		case isa.MIN:
+			v = b
+			if int32(a) < int32(b) {
+				v = a
+			}
+		case isa.MAX:
+			v = b
+			if int32(a) > int32(b) {
+				v = a
+			}
+		case isa.ADDI:
+			v = uint32(int32(a) + in.imm)
+		case isa.ANDI:
+			v = a & uint32(in.imm)
+		case isa.ORI:
+			v = a | uint32(in.imm)
+		case isa.XORI:
+			v = a ^ uint32(in.imm)
+		case isa.SLLI:
+			v = a << (uint32(in.imm) & 31)
+		case isa.SRLI:
+			v = a >> (uint32(in.imm) & 31)
+		case isa.SRAI:
+			v = uint32(int32(a) >> (uint32(in.imm) & 31))
+		case isa.SLTI:
+			if int32(a) < in.imm {
+				v = 1
+			}
+		case isa.LUI:
+			v = uint32(in.imm) << 12
+		case isa.FADD:
+			v = isa.Bits(isa.F32(a) + isa.F32(b))
+		case isa.FSUB:
+			v = isa.Bits(isa.F32(a) - isa.F32(b))
+		case isa.FMUL:
+			v = isa.Bits(isa.F32(a) * isa.F32(b))
+		case isa.FDIV:
+			v = isa.Bits(isa.F32(a) / isa.F32(b))
+		case isa.FSQRT:
+			v = isa.Bits(float32(math.Sqrt(float64(isa.F32(a)))))
+		case isa.FMIN:
+			v = isa.Bits(float32(math.Min(float64(isa.F32(a)), float64(isa.F32(b)))))
+		case isa.FMAX:
+			v = isa.Bits(float32(math.Max(float64(isa.F32(a)), float64(isa.F32(b)))))
+		case isa.FLT:
+			if isa.F32(a) < isa.F32(b) {
+				v = 1
+			}
+		case isa.FLE:
+			if isa.F32(a) <= isa.F32(b) {
+				v = 1
+			}
+		case isa.FEQ:
+			if isa.F32(a) == isa.F32(b) {
+				v = 1
+			}
+		case isa.CVTIF:
+			v = isa.Bits(float32(int32(a)))
+		case isa.CVTFI:
+			v = uint32(int32(isa.F32(a)))
+		case isa.LW:
+			addr := uint32(int32(a) + in.imm)
+			v = cl.locals[c*cl.localWords+cl.localIndex(c, addr)]
+		case isa.SW:
+			addr := uint32(int32(a) + in.imm)
+			cl.locals[c*cl.localWords+cl.localIndex(c, addr)] = b
 			st.classCounts[in.class&15]++
 			ct.pc = pc + 1
-			cl.cores[c].ready &^= 1 << uint(k)
-			cl.barrier(cl.wakes[idx])
-			return
+			ct.readyAt = cyc + int64(in.lat)
+			continue
+		case isa.LDG, isa.LDS:
+			// A global load's timing is resolved before the instruction
+			// retires: on Retry the context stays put and re-issues the same
+			// instruction next cycle; on Pending it sleeps until the memory
+			// system's callback.
+			addr := uint32(int32(a) + in.imm)
+			if in.op == isa.LDS {
+				addr = regs[isa.StreamAddr]
+			}
+			stl := cl.ports[c].Read(k, addr, cl.wakes[idx])
+			switch stl {
+			case Retry:
+				st.retryCycles++
+				continue // PC unchanged; retry next cycle
+			case Pending:
+				hd.ready &^= 1 << uint(k)
+			}
+			if in.rd != 0 {
+				regs[in.rd&31] = cl.read(addr)
+			}
+			if in.op == isa.LDS {
+				advanceStream(regs)
+			}
+			st.classCounts[in.class&15]++
+			ct.pc = pc + 1
+			if stl == Done {
+				ct.readyAt = cyc + int64(in.lat)
+			}
+			continue
+		case isa.STG:
+			// The PNM execution model keeps live state in local memory
+			// (Section III-B); a global store in a kernel is a porting bug,
+			// surfaced loudly rather than silently mis-timed.
+			panic("corelet: STG not supported by the PNM kernels (live state must stay in local memory)")
+		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
+			st.condBranches++
+			var taken bool
+			switch in.op {
+			case isa.BEQ:
+				taken = a == b
+			case isa.BNE:
+				taken = a != b
+			case isa.BLT:
+				taken = int32(a) < int32(b)
+			case isa.BGE:
+				taken = int32(a) >= int32(b)
+			case isa.BLTU:
+				taken = a < b
+			default: // BGEU
+				taken = a >= b
+			}
+			st.classCounts[in.class&15]++
+			if taken {
+				st.takenCond++
+				ct.pc = in.imm
+				ct.readyAt = cyc + cl.code.takenLat
+				continue
+			}
+			ct.pc = pc + 1
+			ct.readyAt = cyc + int64(in.lat)
+			continue
+		case isa.J:
+			st.classCounts[in.class&15]++
+			ct.pc = in.imm
+			ct.readyAt = cyc + cl.code.takenLat
+			continue
+		case isa.JAL:
+			st.classCounts[in.class&15]++
+			if in.rd != 0 {
+				regs[in.rd&31] = uint32(pc + 1)
+			}
+			ct.pc = in.imm
+			ct.readyAt = cyc + cl.code.takenLat
+			continue
+		case isa.JR:
+			st.classCounts[in.class&15]++
+			ct.pc = int32(a)
+			ct.readyAt = cyc + cl.code.takenLat
+			continue
+		case isa.CSRR:
+			v = cl.csr(c, k, in.imm)
+		case isa.BAR:
+			if cl.barrier != nil {
+				st.classCounts[in.class&15]++
+				ct.pc = pc + 1
+				hd.ready &^= 1 << uint(k)
+				cl.barrier(cl.wakes[idx])
+				continue
+			}
+			// No coordinator installed: BAR is a no-op that writes no register.
+			st.classCounts[in.class&15]++
+			ct.pc = pc + 1
+			ct.readyAt = cyc + int64(in.lat)
+			continue
+		default:
+			panic(fmt.Sprintf("corelet: unhandled op %v at pc %d", in.op, pc))
 		}
-		// No coordinator installed: BAR is a no-op that writes no register.
+		// Unconditional writeback: rd==0 means "discard", which the tail models
+		// by letting the store land in r0 and re-zeroing it — two cheap stores
+		// instead of a data-dependent branch on the hot path.
+		regs[in.rd&31] = v
+		regs[0] = 0
 		st.classCounts[in.class&15]++
 		ct.pc = pc + 1
 		ct.readyAt = cyc + int64(in.lat)
-		return
-	default:
-		panic(fmt.Sprintf("corelet: unhandled op %v at pc %d", in.op, pc))
 	}
-	// Unconditional writeback: rd==0 means "discard", which the tail models
-	// by letting the store land in r0 and re-zeroing it — two cheap stores
-	// instead of a data-dependent branch on the hot path.
-	regs[in.rd&31] = v
-	regs[0] = 0
-	st.classCounts[in.class&15]++
-	ct.pc = pc + 1
-	ct.readyAt = cyc + int64(in.lat)
 }

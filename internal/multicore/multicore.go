@@ -217,7 +217,7 @@ type System struct {
 	node *arch.Node
 	// cluster holds every core's hot state in one structure-of-arrays image.
 	// The multicore clock hands each core IssueWidth issue slots per system
-	// cycle, so the cores are ticked individually (TickCore) rather than as
+	// cycle, so the cores are advanced individually (Advance) rather than as
 	// a cluster sweep.
 	cluster *corelet.Cluster
 	// live is the active set of non-halted core indices, compacted in
@@ -350,9 +350,10 @@ func (t coresTicker) Halted() bool { return t.s.Halted() }
 
 // NextWork reports the earliest future core-clock tick at which the system
 // tick could change state: the earliest delayed completion due to fire, or
-// the earliest issue any live core's slots can reach. Each system tick
-// hands a core IssueWidth corelet cycles, so a core with issue distance d
-// (corelet cycles) first issues ceil(d/IssueWidth) system ticks from now.
+// the earliest cycle any live core needs its slots stepped in lockstep. Each
+// system tick advances a core IssueWidth corelet cycles, so a core whose
+// next lockstep cycle is d corelet cycles away (CoreNextWork) first needs
+// the sweep ceil(d/IssueWidth) system ticks from now.
 func (t coresTicker) NextWork(sim.Time) sim.Time {
 	s := t.s
 	tk := int64(s.ticks)
@@ -367,7 +368,7 @@ func (t coresTicker) NextWork(sim.Time) sim.Time {
 		}
 	}
 	for _, co := range s.live {
-		d := s.cluster.CoreNextIssueDelta(int(co))
+		d := s.cluster.CoreNextWork(int(co), tk*iw)
 		if d == corelet.NeverTicks {
 			continue
 		}
@@ -385,30 +386,30 @@ func (t coresTicker) NextWork(sim.Time) sim.Time {
 }
 
 // SkipTicks replays n dead system ticks: the tick counter and delay-line
-// clock advance, and every live core burns n*IssueWidth idle issue slots,
-// exactly as the dispatched loop would have.
+// clock advance, and every live core burns its idle issue slots up to the
+// new tick's last slot, exactly as the dispatched loop would have.
 func (t coresTicker) SkipTicks(n int64) {
 	s := t.s
 	s.ticks += uint64(n)
 	s.delay.now += uint64(n)
-	slots := n * int64(s.C.IssueWidth)
+	to := int64(s.ticks) * int64(s.C.IssueWidth)
 	for _, co := range s.live {
-		s.cluster.SkipCoreTicks(int(co), slots)
+		s.cluster.SkipCore(int(co), to)
 	}
 }
 
-// tick gives each core IssueWidth issue slots per cycle. A core that halts
+// tick gives each core IssueWidth issue slots per cycle by advancing it to
+// the cycle's last slot (corelet.Cluster.Advance). A core that halts
 // mid-cycle still receives its remaining slots (as with the full scan, which
 // only checked Halted at the top of the cycle) and drops out the next cycle.
 func (s *System) tick(sim.Time) {
 	s.ticks++
 	s.delay.tick()
+	to := int64(s.ticks) * int64(s.C.IssueWidth)
 	live := s.live
 	n := 0
 	for i, co := range live {
-		for k := 0; k < s.C.IssueWidth; k++ {
-			s.cluster.TickCore(int(co))
-		}
+		s.cluster.Advance(int(co), to)
 		if !s.cluster.CoreHalted(int(co)) {
 			if n != i {
 				live[n] = co // only move on an actual halt

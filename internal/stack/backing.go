@@ -28,7 +28,7 @@ type backing struct {
 
 type backFlight struct {
 	doneAt int64
-	done   func(cycle int64)
+	done   func(cycle int64, rowHit bool) // nil: nobody waits
 }
 
 // BackingStats counts planar traffic.
@@ -56,8 +56,10 @@ func (b *backing) transferCycles(bytes int) int64 {
 
 func (b *backing) wouldAcceptRead() bool { return len(b.fly) < b.p.Outstanding }
 
-// read schedules a planar read; done fires on the tick the data returns.
-func (b *backing) read(bytes int, done func(cycle int64)) bool {
+// read schedules a planar read; done (a mem.Request's Done, or nil) fires
+// on the tick the data returns, with rowHit false. Callers hand over a
+// callback they already hold, so a read allocates nothing.
+func (b *backing) read(bytes int, done func(cycle int64, rowHit bool)) bool {
 	if !b.wouldAcceptRead() {
 		return false
 	}
@@ -118,7 +120,9 @@ func (b *backing) tick() {
 	}
 	b.flyMin = min
 	for i := range b.ready {
-		b.ready[i].done(b.cycle)
+		if done := b.ready[i].done; done != nil {
+			done(b.cycle, false)
+		}
 		b.ready[i] = backFlight{}
 	}
 	b.ready = b.ready[:0]

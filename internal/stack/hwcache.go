@@ -29,8 +29,20 @@ type HWCache struct {
 	valid     int      // lines currently valid
 	useTick   uint64
 
-	mshr    []hwMSHR
-	mshrMax int
+	// mshr holds the in-flight fills; the entries past its length keep
+	// their waiter lists for reuse, and fillFree holds one fill per MSHR,
+	// so misses allocate nothing in the cycle loop.
+	mshr     []hwMSHR
+	mshrMax  int
+	fillFree []*hwFill
+}
+
+// hwFill is one line fill in flight; done, bound once, is handed to the
+// backing store as the read's completion: it installs the block and
+// recycles the fill.
+type hwFill struct {
+	block int64
+	done  func(int64, bool)
 }
 
 type hwLine struct {
@@ -72,14 +84,23 @@ func NewHWCache(cfg Config, inner *mem.System) (*HWCache, error) {
 		nsets:     int64(nlines / assoc),
 		assoc:     assoc,
 		mshrMax:   mshrMax,
-		mshr:      make([]hwMSHR, 0, mshrMax),
+		mshr:      make([]hwMSHR, mshrMax),
 	}
 	h.sets = make([]hwLine, int(h.nsets)*assoc)
 	for i := range h.sets {
 		h.sets[i].block = -1
 	}
-	h.inner = inner
-	h.bk = newBacking(cfg.Backing)
+	for i := range h.mshr {
+		h.mshr[i].waiters = make([]mem.Request, 0, 4)
+		f := &hwFill{}
+		f.done = func(int64, bool) {
+			h.install(f.block)
+			h.fillFree = append(h.fillFree, f)
+		}
+		h.fillFree = append(h.fillFree, f)
+	}
+	h.mshr = h.mshr[:0]
+	h.base = newBase(inner, cfg.Backing)
 	h.st.Mode = string(ModeHWCache)
 	return h, nil
 }
@@ -154,10 +175,14 @@ func (h *HWCache) Enqueue(r mem.Request) bool {
 		h.st.Rejected++
 		return false
 	}
-	e := hwMSHR{block: block, dirty: r.Write, waiters: make([]mem.Request, 1, 4)}
-	e.waiters[0] = r
-	h.mshr = append(h.mshr, e)
-	h.bk.read(int(h.lineBytes), func(int64) { h.install(block) })
+	h.mshr = h.mshr[:len(h.mshr)+1]
+	e := &h.mshr[len(h.mshr)-1]
+	e.block, e.dirty, e.waiters = block, r.Write, append(e.waiters[:0], r)
+	// Every fill holds an MSHR until it installs, so a free one exists.
+	f := h.fillFree[len(h.fillFree)-1]
+	h.fillFree = h.fillFree[:len(h.fillFree)-1]
+	f.block = block
+	h.bk.read(int(h.lineBytes), f.done)
 	h.st.Accesses++
 	h.st.Misses++
 	h.st.BackingServed++
@@ -196,10 +221,9 @@ func (h *HWCache) install(block int64) {
 	for _, w := range h.mshr[mi].waiters {
 		h.pushInner(w)
 	}
-	h.mshr[mi].waiters = nil
+	clear(h.mshr[mi].waiters)
 	last := len(h.mshr) - 1
-	h.mshr[mi] = h.mshr[last]
-	h.mshr[last] = hwMSHR{}
+	h.mshr[mi], h.mshr[last] = h.mshr[last], h.mshr[mi]
 	h.mshr = h.mshr[:last]
 }
 

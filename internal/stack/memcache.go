@@ -21,10 +21,13 @@ import (
 // are posted to the backing store and complete at the end of the lookup.
 type MemCache struct {
 	base
-	pageBytes    int64
-	pageBudget   int
-	pinnedPages  int
-	class        map[int64]uint8 // page -> pageHot / pageCold
+	pageBytes   int64
+	pageBudget  int
+	pinnedPages int
+	// class is each page's classification (0 until first touch, then
+	// pageHot or pageCold), sized to the fabric's capacity up front so
+	// first touches in the cycle loop allocate nothing.
+	class        []uint8
 	lookupCycles int64
 
 	dq     []dqEntry
@@ -59,12 +62,11 @@ func NewMemCache(cfg Config, inner *mem.System) (*MemCache, error) {
 	m := &MemCache{
 		pageBytes:    int64(cfg.PageBytes),
 		pageBudget:   cfg.StackBytes / cfg.PageBytes,
-		class:        make(map[int64]uint8),
+		class:        make([]uint8, (int64(inner.CapacityBytes())+int64(cfg.PageBytes)-1)/int64(cfg.PageBytes)),
 		lookupCycles: int64(lookup),
 		dq:           make([]dqEntry, 0, delayQueueCap),
 	}
-	m.inner = inner
-	m.bk = newBacking(cfg.Backing)
+	m.base = newBase(inner, cfg.Backing)
 	m.st.Mode = string(ModeMemCache)
 	return m, nil
 }
@@ -90,6 +92,9 @@ func (m *MemCache) Enqueue(r mem.Request) bool {
 		return false
 	}
 	page := int64(r.Addr) / m.pageBytes
+	if page >= int64(len(m.class)) {
+		m.class = append(m.class, make([]uint8, page+1-int64(len(m.class)))...)
+	}
 	c := m.class[page]
 	if c == 0 {
 		if m.pinnedPages < m.pageBudget {
@@ -101,7 +106,7 @@ func (m *MemCache) Enqueue(r mem.Request) bool {
 		m.class[page] = c
 	}
 	hot := c == pageHot
-	m.dq = append(m.dq, dqEntry{r: r, readyAt: m.bk.cycle + m.lookupCycles, hot: hot})
+	m.dq = pushFIFO(m.dq, &m.dqHead, dqEntry{r: r, readyAt: m.bk.cycle + m.lookupCycles, hot: hot})
 	m.st.Accesses++
 	if hot {
 		m.st.StackServed++
@@ -136,12 +141,7 @@ func (m *MemCache) Tick() {
 				e.r.Done(m.bk.cycle, false)
 			}
 		} else {
-			done := e.r.Done
-			if !m.bk.read(e.r.Bytes, func(c int64) {
-				if done != nil {
-					done(c, false)
-				}
-			}) {
+			if !m.bk.read(e.r.Bytes, e.r.Done) {
 				break
 			}
 		}

@@ -25,8 +25,7 @@ func NewMemory(cfg Config, inner *mem.System) (*Memory, error) {
 		return nil, fmt.Errorf("stack: memory mode needs StackBytes > 0 (got %d)", cfg.StackBytes)
 	}
 	m := &Memory{boundary: int64(cfg.StackBytes)}
-	m.inner = inner
-	m.bk = newBacking(cfg.Backing)
+	m.base = newBase(inner, cfg.Backing)
 	m.st.Mode = string(ModeMemory)
 	m.st.ResidentBytes = uint64(cfg.StackBytes)
 	return m, nil
@@ -55,12 +54,7 @@ func (m *Memory) Enqueue(r mem.Request) bool {
 		m.st.StackServed++
 		return true
 	}
-	done := r.Done
-	if !m.bk.read(r.Bytes, func(c int64) {
-		if done != nil {
-			done(c, false)
-		}
-	}) {
+	if !m.bk.read(r.Bytes, r.Done) {
 		m.st.Rejected++
 		return false
 	}

@@ -80,6 +80,8 @@ const (
 	DefaultLookupCycles = 8
 	// delayQueueCap bounds MemCache accesses inside the lookup pipeline.
 	delayQueueCap = 64
+	// pendingCap is the initial capacity of the fabric-retry FIFO.
+	pendingCap = 64
 )
 
 // BackingParams sizes the shared planar backing-store model.
@@ -181,8 +183,29 @@ type base struct {
 	pendHead int
 }
 
+// newBase builds the shared parts over the stacked fabric inner, with the
+// fabric-retry FIFO pre-sized.
+func newBase(inner *mem.System, p BackingParams) base {
+	return base{inner: inner, bk: newBacking(p), pending: make([]mem.Request, 0, pendingCap)}
+}
+
+// pushInner queues r for the fabric. The FIFO reuses its backing array:
+// a full one with drained slots at the front is compacted instead of
+// grown, so the queue allocates only when its occupancy exceeds every
+// earlier peak.
 func (b *base) pushInner(r mem.Request) {
-	b.pending = append(b.pending, r)
+	b.pending = pushFIFO(b.pending, &b.pendHead, r)
+}
+
+// pushFIFO appends v to the FIFO q[*head:], first sliding the live entries
+// to the front when q is full but its head has advanced.
+func pushFIFO[T any](q []T, head *int, v T) []T {
+	if len(q) == cap(q) && *head > 0 {
+		n := copy(q, q[*head:])
+		clear(q[n:])
+		q, *head = q[:n], 0
+	}
+	return append(q, v)
 }
 
 func (b *base) pendingLen() int { return len(b.pending) - b.pendHead }

@@ -37,13 +37,13 @@ func runUntilIdle(t *testing.T, b Backend) {
 func TestBackingTiming(t *testing.T) {
 	bk := newBacking(BackingParams{LatencyCycles: 10, BytesPerCycle: 4, Outstanding: 2})
 	var done1, done2 int64
-	if !bk.read(8, func(c int64) { done1 = c }) {
+	if !bk.read(8, func(c int64, _ bool) { done1 = c }) {
 		t.Fatal("first read rejected")
 	}
-	if !bk.read(8, func(c int64) { done2 = c }) {
+	if !bk.read(8, func(c int64, _ bool) { done2 = c }) {
 		t.Fatal("second read rejected")
 	}
-	if bk.read(4, func(int64) {}) {
+	if bk.read(4, nil) {
 		t.Fatal("third read accepted past the outstanding cap")
 	}
 	if bk.wouldAcceptRead() {

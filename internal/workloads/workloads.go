@@ -144,33 +144,72 @@ type goldenKey struct {
 	seed             uint64
 }
 
+// goldenMemoCap bounds the golden-reference memo. It is the most distinct
+// keys any registered experiment verifies against — 16, in fig5, fig6 and
+// cluster — so no experiment refolds a reference, while a long-running
+// process (millid) keeps at most this many.
+const goldenMemoCap = 16
+
+// goldenMemo holds the most recently used golden references, least
+// recently used first.
 var goldenMemo struct {
 	sync.Mutex
-	m map[goldenKey][][]uint32
+	lru []goldenEntry
+}
+
+type goldenEntry struct {
+	key    goldenKey
+	states [][]uint32
+}
+
+// memoGet returns the memoized states for k, marking them most recently
+// used.
+func memoGet(k goldenKey) ([][]uint32, bool) {
+	goldenMemo.Lock()
+	defer goldenMemo.Unlock()
+	lru := goldenMemo.lru
+	for i, e := range lru {
+		if e.key == k {
+			copy(lru[i:], lru[i+1:])
+			lru[len(lru)-1] = e
+			return e.states, true
+		}
+	}
+	return nil, false
+}
+
+// memoPut records states for k as most recently used, evicting the least
+// recently used entry at capacity. A key another caller already recorded
+// is kept as is.
+func memoPut(k goldenKey, states [][]uint32) {
+	goldenMemo.Lock()
+	defer goldenMemo.Unlock()
+	for _, e := range goldenMemo.lru {
+		if e.key == k {
+			return
+		}
+	}
+	if len(goldenMemo.lru) == goldenMemoCap {
+		goldenMemo.lru = append(goldenMemo.lru[:0], goldenMemo.lru[1:]...)
+	}
+	goldenMemo.lru = append(goldenMemo.lru, goldenEntry{k, states})
 }
 
 // GoldenStatesStreamed computes per-thread golden states directly from the
-// seeded Sources without materializing any stream. The result is memoized:
-// a benchmark suite verifies several architectures against the same
-// (threads, records, seed) reference, and the golden fold is deterministic,
-// so recomputing it per run is pure waste. Callers receive a fresh copy and
-// may mutate it freely.
+// seeded Sources without materializing any stream. The result is memoized
+// (see goldenMemoCap): a benchmark suite verifies several architectures
+// against the same (threads, records, seed) reference, and the golden fold
+// is deterministic, so recomputing it per run is pure waste. Callers
+// receive a fresh copy and may mutate it freely.
 func (b *Benchmark) GoldenStatesStreamed(threads, records int, seed uint64) [][]uint32 {
 	k := goldenKey{name: b.Name(), threads: threads, records: records, seed: seed}
-	goldenMemo.Lock()
-	cached, ok := goldenMemo.m[k]
-	goldenMemo.Unlock()
+	cached, ok := memoGet(k)
 	if !ok {
 		cached = make([][]uint32, threads)
 		for t := range cached {
 			cached[t] = b.GoldenSource(b.Source(seed, t, records))
 		}
-		goldenMemo.Lock()
-		if goldenMemo.m == nil {
-			goldenMemo.m = make(map[goldenKey][][]uint32)
-		}
-		goldenMemo.m[k] = cached
-		goldenMemo.Unlock()
+		memoPut(k, cached)
 	}
 	out := make([][]uint32, threads)
 	for t := range out {

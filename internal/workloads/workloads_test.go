@@ -1,7 +1,9 @@
 package workloads
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
@@ -306,4 +308,98 @@ func TestFaultInjectionSlowsRuntime(t *testing.T) {
 	if rj.Time <= rb.Time {
 		t.Errorf("jitter did not slow the run: %d vs %d", rj.Time, rb.Time)
 	}
+}
+
+// TestGoldenMemoBounded: the golden-reference memo keeps the goldenMemoCap
+// most recently used keys. After cap+N distinct seeds it holds exactly cap
+// entries, the newest ones; and a second architecture verifying the same
+// key (millipede, then ssmc, on one dataset) does not refold it.
+func TestGoldenMemoBounded(t *testing.T) {
+	goldenMemo.Lock()
+	goldenMemo.lru = nil
+	goldenMemo.Unlock()
+	folds := 0
+	b := *CountBench()
+	fold := b.Fold
+	b.Fold = func(st, rec []uint32) { folds++; fold(st, rec) }
+
+	const threads, records, extra = 4, 8, 5
+	for i := 0; i < goldenMemoCap+extra; i++ {
+		b.GoldenStatesStreamed(threads, records, uint64(1000+i))
+	}
+	goldenMemo.Lock()
+	n, oldest := len(goldenMemo.lru), goldenMemo.lru[0].key.seed
+	goldenMemo.Unlock()
+	if n != goldenMemoCap || oldest != 1000+extra {
+		t.Fatalf("memo holds %d entries, oldest seed %d; want %d, oldest %d", n, oldest, goldenMemoCap, 1000+extra)
+	}
+	folds = 0
+	b.GoldenStatesStreamed(threads, records, 1000+extra)
+	if folds != 0 {
+		t.Errorf("memoized key refolded %d records", folds)
+	}
+	b.GoldenStatesStreamed(threads, records, 1000)
+	if folds != threads*records {
+		t.Errorf("evicted key folded %d records, want %d", folds, threads*records)
+	}
+
+	p := testParams()
+	recs := testRecords(&b)
+	folds = 0
+	for _, il := range []layout.Interleave{layout.Slab, layout.Split} {
+		l, lay, sl, _ := launchFor(t, &b, p, il, recs)
+		var read StateReader
+		var err error
+		if il == layout.Slab {
+			var pr *core.Processor
+			if pr, err = core.NewProcessor(p, energy.Default(), l); err == nil {
+				read = pr.ReadState
+				_, err = pr.Run(0)
+			}
+		} else {
+			var pr *ssmc.Processor
+			if pr, err = ssmc.NewProcessor(p, energy.Default(), l); err == nil {
+				read = pr.ReadState
+				_, err = pr.Run(0)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Verify(ExtractStates(&b, sl, lay, read), p.Threads(), recs, 42); err != nil {
+			t.Fatal(err)
+		}
+		if want := p.Threads() * recs; folds != want {
+			t.Errorf("after the %v run the reference folded %d records, want %d (one fold)", il, folds, want)
+		}
+	}
+}
+
+// TestGoldenMemoConcurrent: goroutines folding and evicting overlapping
+// keys all receive the reference a fresh fold computes.
+func TestGoldenMemoConcurrent(t *testing.T) {
+	b := CountBench()
+	const threads, records, keys = 2, 4, goldenMemoCap + 4
+	want := make([][][]uint32, keys)
+	for k := range want {
+		for th := 0; th < threads; th++ {
+			want[k] = append(want[k], b.GoldenSource(b.Source(uint64(2000+k), th, records)))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3*keys; i++ {
+				k := (i*(g+1) + g) % keys
+				got := b.GoldenStatesStreamed(threads, records, uint64(2000+k))
+				if !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("goroutine %d, key %d: got %v, want %v", g, k, got, want[k])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
