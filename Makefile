@@ -32,7 +32,10 @@ test:
 #     O(records));
 #   TestRunResultsPinned — every architecture's full result (timing, energy,
 #     memory and stack counters, metrics, reduced output) matches a pinned
-#     hash.
+#     hash;
+#   TestExperimentRendersPinned — the ablation, warpwidth, residency and
+#     characteristics results, whose runs fan out over the worker pool,
+#     render and encode to a pinned hash at GOMAXPROCS 1 and 4.
 # It also runs a 20 s native fuzz smoke of FuzzAdvanceMatchesLockstep (the
 # corelet run-ahead sweep against the lockstep sweep on generated and BMLA
 # kernels; a failing input lands in internal/corelet/testdata/fuzz and

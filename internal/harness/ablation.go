@@ -35,34 +35,32 @@ func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uin
 		Name:   "Barrier ablation (count): performance normalized to Millipede's hardware flow control",
 		Series: []string{"millipede", "no-flow-control", "barrier-every-1", "barrier-every-512"},
 	}
+	// One run per series, in series order; the four are independent, so
+	// they share the worker pool and each writes only its own slot.
+	run := func(a string) (int64, error) {
+		r, _, err := Run(a, b, p, records, Options{Seed: seed})
+		return int64(r.Time), err
+	}
+	times := make([]int64, len(f.Series))
+	err := runJobs(ctx, len(times), func(i int) (err error) {
+		switch i {
+		case 0:
+			times[i], err = run(ArchMillipede)
+		case 1:
+			times[i], err = run(ArchMillipedeNoFC)
+		case 2:
+			times[i], err = runBarrierVariant(p, b, 1, records, seed)
+		case 3:
+			times[i], err = runBarrierVariant(p, b, 512, records, seed)
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	row := Row{Bench: "count", Values: map[string]float64{}}
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	base, _, err := Run(ArchMillipede, b, p, records, Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	row.Values["millipede"] = 1.0
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	nofc, _, err := Run(ArchMillipedeNoFC, b, p, records, Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	row.Values["no-flow-control"] = float64(base.Time) / float64(nofc.Time)
-
-	for _, iv := range []int{1, 512} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t, err := runBarrierVariant(p, b, iv, records, seed)
-		if err != nil {
-			return nil, err
-		}
-		row.Values[fmt.Sprintf("barrier-every-%d", iv)] = float64(base.Time) / float64(t)
+	for i, s := range f.Series {
+		row.Values[s] = float64(times[0]) / float64(times[i])
 	}
 	f.Rows = append(f.Rows, row)
 	return f, nil
@@ -117,28 +115,27 @@ func WarpWidthSweep(ctx context.Context, p arch.Params, scale float64, seed uint
 	for _, w := range widths {
 		f.Series = append(f.Series, fmt.Sprintf("%d-wide", w))
 	}
-	for _, name := range []string{"count", "sample", "nbayes", "classify"} {
-		b, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		records := RecordsFor(b, scale)
-		row := Row{Bench: name, Values: map[string]float64{}}
-		times := map[int]float64{}
-		for _, w := range widths {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			q := p
-			q.VWSWarpWidth = w
-			r, _, err := Run(ArchVWS, b, q, records, Options{Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			times[w] = float64(r.Time)
-		}
-		for _, w := range widths {
-			row.Values[fmt.Sprintf("%d-wide", w)] = times[32] / times[w]
+	benches := []*workloads.Benchmark{
+		workloads.CountBench(), workloads.SampleBench(), workloads.NBayesBench(), workloads.ClassifyBench(),
+	}
+	// Run i is benchmark i/len(widths) at width widths[i%len(widths)].
+	times := make([]float64, len(benches)*len(widths))
+	err := runJobs(ctx, len(times), func(i int) error {
+		b := benches[i/len(widths)]
+		q := p
+		q.VWSWarpWidth = widths[i%len(widths)]
+		r, _, err := Run(ArchVWS, b, q, RecordsFor(b, scale), Options{Seed: seed})
+		times[i] = float64(r.Time)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for bi, b := range benches {
+		t := times[bi*len(widths) : (bi+1)*len(widths)]
+		row := Row{Bench: b.Name(), Values: map[string]float64{}}
+		for wi, w := range widths {
+			row.Values[fmt.Sprintf("%d-wide", w)] = t[len(t)-1] / t[wi] // the last width is 32
 		}
 		f.Rows = append(f.Rows, row)
 	}
@@ -162,26 +159,23 @@ func ResidencyStudy(ctx context.Context, p arch.Params, hostBandwidthGBs float64
 		Name:   fmt.Sprintf("Residency study (Sec. IV-E): one-time copy-in over a %.0f GB/s host channel", hostBandwidthGBs),
 		Series: []string{"kernel-us", "copyin-us", "copyin/kernel", "reuses-for-10pct"},
 	}
-	for _, name := range []string{"count", "nbayes", "gda"} {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		records := RecordsFor(b, scale)
-		r, _, err := Run(ArchMillipede, b, p, records, Options{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
+	benches := []*workloads.Benchmark{workloads.CountBench(), workloads.NBayesBench(), workloads.GDABench()}
+	res := make([]RunResult, len(benches))
+	err := runJobs(ctx, len(res), func(i int) (err error) {
+		res[i], _, err = Run(ArchMillipede, benches[i], p, RecordsFor(benches[i], scale), Options{Seed: seed})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range res {
 		kernelUS := float64(r.Time) / 1e6
 		copyUS := float64(r.Words) * 4 / (hostBandwidthGBs * 1e9) * 1e6
 		reuses := copyUS / (0.1 * kernelUS)
 		if reuses < 1 {
 			reuses = 1
 		}
-		f.Rows = append(f.Rows, Row{Bench: name, Values: map[string]float64{
+		f.Rows = append(f.Rows, Row{Bench: benches[i].Name(), Values: map[string]float64{
 			"kernel-us":        kernelUS,
 			"copyin-us":        copyUS,
 			"copyin/kernel":    copyUS / kernelUS,

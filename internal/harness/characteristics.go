@@ -37,13 +37,23 @@ func CharacteristicsStudy(ctx context.Context, p arch.Params, scale float64, see
 		Series: []string{"input-words/us", "dram-amplification"},
 	}
 
-	// Compact baseline.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	// The compact baseline and the non-compact join (a table of 2x the
+	// corelet-local memory) are independent runs on the worker pool. The
+	// join gets an eighth of count's records, but at least one per thread.
 	cb := workloads.CountBench()
 	records := RecordsFor(cb, scale)
-	cr, _, err := Run(ArchMillipede, cb, p, records, Options{Seed: seed})
+	tableWords := 2 * p.LocalBytes / 4
+	var cr RunResult
+	var jr core.Result
+	var jWords uint64
+	err := runJobs(ctx, 2, func(i int) (err error) {
+		if i == 0 {
+			cr, _, err = Run(ArchMillipede, cb, p, records, Options{Seed: seed})
+		} else {
+			jr, jWords, err = RunJoin(p, tableWords, max(records/8, 1), seed)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -51,16 +61,6 @@ func CharacteristicsStudy(ctx context.Context, p arch.Params, scale float64, see
 		"input-words/us":     float64(cr.Words) / (float64(cr.Time) / 1e6),
 		"dram-amplification": float64(cr.DRAMBytes) / (float64(cr.Words) * 4),
 	}})
-
-	// Non-compact join: table of 2x the corelet-local memory.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tableWords := 2 * p.LocalBytes / 4
-	jr, jWords, err := RunJoin(p, tableWords, records/8, seed)
-	if err != nil {
-		return nil, err
-	}
 	f.Rows = append(f.Rows, Row{Bench: "join", Values: map[string]float64{
 		"input-words/us":     float64(jWords) / (float64(jr.Time) / 1e6),
 		"dram-amplification": float64(jr.DRAM.BytesRead) / (float64(jWords) * 4),

@@ -15,7 +15,7 @@ import (
 func TestRunExperimentCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range []string{"fig3", "ablation", "timeline", "node", "characteristics"} {
+	for _, name := range []string{"fig3", "ablation", "warpwidth", "residency", "timeline", "node", "characteristics"} {
 		_, err := RunExperiment(ctx, name, arch.Default(), ExpOptions{Scale: testScale})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s with cancelled ctx: got %v, want context.Canceled", name, err)
@@ -88,5 +88,24 @@ func TestFig3Cancelled(t *testing.T) {
 	}
 	if f != nil {
 		t.Fatalf("Fig3 returned a figure despite cancellation")
+	}
+}
+
+// TestSweepsCancelled calls the experiments that hand their runs to the
+// worker pool directly, past the registry's own check, under an
+// already-cancelled context: each must return ctx.Err() without a figure.
+func TestSweepsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p := arch.Default()
+	for name, run := range map[string]func() (*Figure, error){
+		"ablation":        func() (*Figure, error) { return BarrierAblation(ctx, p, testScale, 0) },
+		"warpwidth":       func() (*Figure, error) { return WarpWidthSweep(ctx, p, testScale, 0) },
+		"residency":       func() (*Figure, error) { return ResidencyStudy(ctx, p, 16, testScale, 0) },
+		"characteristics": func() (*Figure, error) { return CharacteristicsStudy(ctx, p, testScale, 0) },
+	} {
+		if f, err := run(); !errors.Is(err, context.Canceled) || f != nil {
+			t.Errorf("%s with cancelled ctx: got figure %v, error %v; want no figure, context.Canceled", name, f != nil, err)
+		}
 	}
 }

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -62,5 +65,52 @@ func TestRunResultsPinned(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedResultsHash {
 		t.Errorf("pinned run results changed: hash %s, want %s", got, pinnedResultsHash)
+	}
+}
+
+// pinnedRendersHash is the SHA-256 of the ablation, warpwidth, residency
+// and characteristics results at pinnedRenderScale and pinnedRenderSeed,
+// rendered and JSON-encoded (see hashExperimentRenders). At this scale every
+// ablation series differs in the third decimal.
+const pinnedRendersHash = "202dc7da5503d66b1d738adf3c0f8cafca5c49e8f7e63b7db9d38240566693bf"
+
+const (
+	pinnedRenderScale = 0.08
+	pinnedRenderSeed  = 7
+)
+
+// hashExperimentRenders runs each pinned experiment and hashes its name, its
+// Render() text and its JSON encoding, which carries every value at full
+// precision.
+func hashExperimentRenders(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	for _, name := range []string{"ablation", "warpwidth", "residency", "characteristics"} {
+		res, err := RunExperiment(context.Background(), name, arch.Default(),
+			ExpOptions{Scale: pinnedRenderScale, Seed: pinnedRenderSeed})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(h, "%s\n%s%s\n", name, res.Render(), data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestExperimentRendersPinned pins the rendered tables of the experiments
+// whose runs fan out over the worker pool, at one worker and at four: the
+// pool must change no number however many simulations run at once, and a
+// run's result must land in its own row and column.
+func TestExperimentRendersPinned(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			if got := hashExperimentRenders(t); got != pinnedRendersHash {
+				t.Errorf("rendered experiments changed: hash %s, want %s", got, pinnedRendersHash)
+			}
+		})
 	}
 }

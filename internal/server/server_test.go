@@ -201,6 +201,46 @@ func TestJobLifecycleRealSimulation(t *testing.T) {
 	}
 }
 
+// TestSmallScaleCharacteristicsCompletes: at scale 0.005 the
+// characteristics study streams 5 count records per thread, an eighth of
+// which once left the join with no input and a NaN amplification that
+// failed the job at encoding. The job must complete with positive values.
+func TestSmallScaleCharacteristicsCompletes(t *testing.T) {
+	_, ts := newTestServer(t, server.Options{})
+	code, sb := postJob(t, ts, map[string]any{"experiment": "characteristics", "scale": 0.005})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: HTTP %d", code)
+	}
+	if final := waitStatus(t, ts, sb.ID); final.Status != "done" {
+		t.Fatalf("final status %+v, want done", final)
+	}
+	code, data := doJSON(t, "GET", ts.URL+"/v1/jobs/"+sb.ID+"/result", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET result: HTTP %d: %s", code, data)
+	}
+	var res struct {
+		Figures []struct {
+			Rows []struct {
+				Bench  string             `json:"bench"`
+				Values map[string]float64 `json:"values"`
+			} `json:"rows"`
+		} `json:"figures"`
+	}
+	if err := json.Unmarshal(data, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Figures) != 1 || len(res.Figures[0].Rows) != 2 {
+		t.Fatalf("unexpected figures %+v", res.Figures)
+	}
+	for _, r := range res.Figures[0].Rows {
+		for k, v := range r.Values {
+			if !(v > 0) {
+				t.Errorf("%s %s = %g, want a positive value", r.Bench, k, v)
+			}
+		}
+	}
+}
+
 // TestIdenticalConcurrentPosts is the acceptance scenario: identical
 // concurrent POSTs collapse onto one job id, run the simulation exactly
 // once, and every result fetch returns byte-identical bodies; the repeat

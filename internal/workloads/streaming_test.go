@@ -64,3 +64,22 @@ func TestStreamingConstantMemory(t *testing.T) {
 		t.Errorf("heap grew %d bytes while streaming (limit 8 MiB): generation is not constant-memory", grown)
 	}
 }
+
+// TestGoldenStreamedAllocBounded: a stream shorter than one chunk is folded
+// through a buffer of its own length, not a GoldenChunkWords buffer. Folding
+// count's reference for 128 threads x 40 records (a small millid job)
+// allocated about 2.1 MB when every thread took a 16 KB buffer; right-sized
+// buffers bring it to about 80 KB.
+func TestGoldenStreamedAllocBounded(t *testing.T) {
+	goldenMemo.Lock()
+	goldenMemo.lru = nil
+	goldenMemo.Unlock()
+	const threads, records, limit = 128, 40, 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	CountBench().GoldenStatesStreamed(threads, records, 0x5EED)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("golden fold of %d threads x %d records allocated %d bytes, limit %d", threads, records, got, limit)
+	}
+}

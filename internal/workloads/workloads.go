@@ -102,11 +102,12 @@ func (b *Benchmark) GoldenThread(stream []uint32, records int) []uint32 {
 }
 
 // GoldenSource executes the golden reference over a Source through a
-// bounded chunk buffer: constant memory in the record count.
+// bounded chunk buffer: constant memory in the record count. A stream
+// shorter than one chunk gets a buffer of its own length.
 func (b *Benchmark) GoldenSource(src *datagen.Source) []uint32 {
 	st := make([]uint32, b.K.StateWords)
 	rw := src.RecordWords()
-	buf := make([]uint32, chunkWordsFor(rw))
+	buf := make([]uint32, min(chunkWordsFor(rw), src.Remaining()*rw))
 	for {
 		n := src.Next(buf)
 		if n == 0 {
