@@ -74,7 +74,8 @@ bench-diff:
 # bench-diff-noskip replays every clock edge (quiescence time skipping off)
 # and diffs against the same baseline: the fast-forward path must be
 # bit-identical to the edge-by-edge engine, or a skip window elided an edge
-# that could have done work.
+# that could have done work. milliexp's -skip=off exists only for this gate:
+# the models decide where skipping runs, and millid has no skip flag.
 bench-diff-noskip:
 	$(GO) run ./cmd/milliexp -benchdiff $(BENCH_BASE) -skip=off
 

@@ -71,7 +71,6 @@ func main() {
 	cacheEntries := flag.Int("cache", 256, "worker: local result cache entries (LRU)")
 	storeURL := flag.String("store", "", "worker: base URL of the shared result store (millid -role=store); empty = local cache only")
 	timeout := flag.Duration("timeout", 15*time.Minute, "worker: default per-job timeout (0 = none; requests may set timeout_ms)")
-	skip := flag.String("skip", "on", "worker: default engine quiescence time skipping, on or off (jobs may set \"skip\"; bit-identical either way)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "worker: how long to wait for in-flight jobs on shutdown before cancelling them")
 	// Store flags.
 	storeEntries := flag.Int("store-entries", 4096, "store: result entries (LRU)")
@@ -95,12 +94,9 @@ func main() {
 		}()
 	}
 
-	if *skip != "on" && *skip != "off" {
-		log.Fatalf("millid: bad -skip %q (want on or off)", *skip)
-	}
 	switch *role {
 	case "worker":
-		runWorker(*addr, *workers, *queue, *cacheEntries, *storeURL, *timeout, *drainTimeout, *skip == "off")
+		runWorker(*addr, *workers, *queue, *cacheEntries, *storeURL, *timeout, *drainTimeout)
 	case "store":
 		runStore(*addr, *storeEntries, *leaseTTL)
 	case "router":
@@ -130,13 +126,12 @@ func serve(hs *http.Server, what string, shutdown func(ctx context.Context)) {
 	<-finished
 }
 
-func runWorker(addr string, workers, queue, cacheEntries int, storeURL string, timeout, drainTimeout time.Duration, noskip bool) {
+func runWorker(addr string, workers, queue, cacheEntries int, storeURL string, timeout, drainTimeout time.Duration) {
 	o := server.Options{
 		Workers:        workers,
 		QueueCapacity:  queue,
 		CacheEntries:   cacheEntries,
 		DefaultTimeout: timeout,
-		NoSkip:         noskip,
 	}
 	if storeURL != "" {
 		o.Shared = rescache.NewHTTPTier(storeURL, nil)

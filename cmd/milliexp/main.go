@@ -62,7 +62,7 @@ func main() {
 	benchBase := flag.String("benchbase", "", "previous BENCH_*.json to compare the new report against")
 	benchScale := flag.Float64("benchscale", benchreport.DefaultScale, "input scale for -benchjson throughput runs")
 	benchDiff := flag.String("benchdiff", "", "determinism gate: collect a fresh report and exit nonzero unless its records/sim_cycles/sim_picos/insts are bit-identical to this baseline BENCH_*.json (skips figures)")
-	skip := flag.String("skip", "on", "engine quiescence time skipping, on or off (bit-identical either way; off replays every clock edge)")
+	skip := flag.String("skip", "on", "engine quiescence time skipping, on or off: off replays every clock edge for the bench-diff-noskip determinism gate (bit-identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
 	flag.Parse()

@@ -57,9 +57,10 @@ type Params struct {
 	Latencies corelet.Latencies
 
 	// NoSkip disables the engine's quiescence time skipping, forcing
-	// edge-by-edge dispatch. It is a simulator-speed knob, not a model
-	// parameter: results are bit-identical either way, skipping is only a
-	// wall-clock optimization (and on by default).
+	// edge-by-edge dispatch. It is not a model parameter: results are
+	// bit-identical either way, and it exists for the gates that prove it
+	// (milliexp -skip=off, the Skip* tests). Only the models that implement
+	// sim.NextWorker skip at all.
 	NoSkip bool
 
 	// Rate matching (Section IV-F).

@@ -370,55 +370,6 @@ func (c *Cache) Access(addr uint32, onFill func()) Result {
 	return Miss
 }
 
-// stallProber is the optional backing capability the quiescence
-// fast-forward uses (mem.System implements it): probe whether an enqueue
-// for addr would be accepted, and replay elided rejected attempts.
-type stallProber interface {
-	WouldAccept(addr uint32) bool
-	TallyRejects(addr uint32, n uint64)
-}
-
-// WouldRetry reports whether an Access for addr would return Retry this
-// instant, without touching any cache state. It mirrors Access's decision
-// order: hit and MSHR-merge accesses do real work (false); a full MSHR
-// table or a set with every line mid-fill retries (true); otherwise the
-// access would attempt a fill, which retries only if the backing bounces —
-// unknowable without a probe-capable backing, so that reports false (busy).
-func (c *Cache) WouldRetry(addr uint32) bool {
-	block := c.blockOf(addr)
-	if ln := c.find(block); ln != nil && !ln.inFlight {
-		return false
-	}
-	if c.mshrFind(block) >= 0 {
-		return false
-	}
-	if len(c.mshr) >= c.mshrMax {
-		return true
-	}
-	if c.victim(block) == nil {
-		return true
-	}
-	p, ok := c.backing.(stallProber)
-	return ok && !p.WouldAccept(uint32(block)*uint32(c.cfg.LineBytes))
-}
-
-// TallyRetries replays n elided Access attempts for addr inside a skip
-// window, each of which provably returned Retry (WouldRetry held and no
-// state changed in between): the use clock and retry counter advance per
-// attempt, and a bounced fill attempt additionally tallies its reject on
-// the backing — exactly Access's Retry bookkeeping, with the line array,
-// MSHR table, and freelists net untouched.
-func (c *Cache) TallyRetries(addr uint32, n uint64) {
-	c.useTick += n
-	c.stats.Retries += n
-	if len(c.mshr) >= c.mshrMax || c.victim(c.blockOf(addr)) == nil {
-		return
-	}
-	if p, ok := c.backing.(stallProber); ok {
-		p.TallyRejects(uint32(c.blockOf(addr))*uint32(c.cfg.LineBytes), n)
-	}
-}
-
 // fill completes a line fill and releases waiters.
 func (c *Cache) fill(block int64, prefetched bool) {
 	if ln := c.find(block); ln != nil {

@@ -532,7 +532,7 @@ func (cl *Cluster) localOK(c, k int, in *dinst) bool {
 const NeverTicks = int64(1<<63 - 1)
 
 // NextWorkTicks returns the number of cluster ticks from now until the
-// earliest tick at which any active corelet needs the sweep (CoreNextWork):
+// earliest tick at which any active corelet needs the sweep (coreNextWork):
 // 1 means the very next tick (busy), NeverTicks means every context is
 // parked on a wake.
 func (cl *Cluster) NextWorkTicks() int64 {
@@ -542,7 +542,7 @@ func (cl *Cluster) NextWorkTicks() int64 {
 		for word != 0 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			e := cl.CoreNextWork(c, cl.now)
+			e := cl.coreNextWork(c, cl.now)
 			if e <= 1 {
 				return 1
 			}
@@ -553,7 +553,7 @@ func (cl *Cluster) NextWorkTicks() int64 {
 }
 
 // SkipTicks replays n dead cluster ticks on every active corelet
-// (SkipCore).
+// (skipCore).
 func (cl *Cluster) SkipTicks(n int64) {
 	cl.now += n
 	for wi, word := range cl.active {
@@ -561,19 +561,19 @@ func (cl *Cluster) SkipTicks(n int64) {
 		for word != 0 {
 			c := base + bits.TrailingZeros64(word)
 			word &= word - 1
-			cl.SkipCore(c, cl.now)
+			cl.skipCore(c, cl.now)
 		}
 	}
 }
 
-// CoreNextWork returns the distance in corelet cycles from now (the cycle
+// coreNextWork returns the distance in corelet cycles from now (the cycle
 // the caller last advanced corelet c to) to the first cycle at which
 // Advance must step the corelet in lockstep; values <= 1 mean the very next
 // cycle. A corelet that has run ahead needs the sweep at its cycle+1. One in
 // step with now cannot issue before cores[c].earliest, and is NeverTicks
 // away when no context is runnable: wakes, which reset earliest, only run
 // from memory-domain work ticks, and those end any skip window.
-func (cl *Cluster) CoreNextWork(c int, now int64) int64 {
+func (cl *Cluster) coreNextWork(c int, now int64) int64 {
 	hd := &cl.cores[c]
 	if hd.cycle > now {
 		return hd.cycle + 1 - now
@@ -584,12 +584,12 @@ func (cl *Cluster) CoreNextWork(c int, now int64) int64 {
 	return hd.earliest - now
 }
 
-// SkipCore replays corelet c's dead cycles up to cycle to: its cycle
+// skipCore replays corelet c's dead cycles up to cycle to: its cycle
 // counter advances and each elided cycle counts as idle, exactly as
 // tickCore's dead paths would have tallied. Cycles a burst already
-// simulated are not replayed; CoreNextWork guarantees to stays short of
+// simulated are not replayed; coreNextWork guarantees to stays short of
 // any cycle the corelet could issue in.
-func (cl *Cluster) SkipCore(c int, to int64) {
+func (cl *Cluster) skipCore(c int, to int64) {
 	hd := &cl.cores[c]
 	if n := to - hd.cycle; n > 0 {
 		hd.cycle = to

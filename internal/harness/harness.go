@@ -130,6 +130,9 @@ func (o Options) seed() uint64 {
 func Run(archName string, b *workloads.Benchmark, p arch.Params, records int, o Options) (RunResult, []uint32, error) {
 	seed := o.seed()
 	res := RunResult{Arch: archName, Bench: b.Name()}
+	if records < 0 {
+		return res, nil, fmt.Errorf("harness: negative record count %d", records)
+	}
 	m, err := build(archName, b, p, records, seed, o)
 	if err != nil {
 		return res, nil, err
@@ -249,7 +252,6 @@ func build(archName string, b *workloads.Benchmark, p arch.Params, records int, 
 		}
 	case ArchMulticore:
 		c := multicore.DefaultConfig()
-		c.NoSkip = p.NoSkip
 		// Same total input as a p-geometry PNM run: the node comparison
 		// (Figure 5) scales per-processor results by the processor count.
 		m.threads, m.records = c.Threads(), records*p.Threads()/c.Threads()
@@ -346,6 +348,14 @@ func recordsForSize(b *workloads.Benchmark, scale float64, lanes int) int {
 // Chaining calls implements full iterative k-means over the resident
 // dataset — the paper's "full application" framing.
 func KMeansIteration(p arch.Params, cents [][]float32, records int) ([][]float32, RunResult, error) {
+	if len(cents) != kernels.KMeansK {
+		return nil, RunResult{}, fmt.Errorf("harness: kmeans needs %d centroids, got %d", kernels.KMeansK, len(cents))
+	}
+	for c, row := range cents {
+		if len(row) != kernels.KMeansDims {
+			return nil, RunResult{}, fmt.Errorf("harness: kmeans centroid %d has %d dims, want %d", c, len(row), kernels.KMeansDims)
+		}
+	}
 	b := workloads.KMeansBenchWith(cents)
 	res, out, err := Run(ArchMillipede, b, p, records, Options{})
 	if err != nil {

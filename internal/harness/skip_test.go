@@ -14,11 +14,16 @@ import (
 // an identical host-side reduce as the edge-by-edge run (NoSkip). Skipping
 // is a simulator-speed knob only; any divergence means a skip window elided
 // an edge that could have done work.
+//
+// It also pins which models take part: the corelet family (millipede, its
+// variants and ssmc) skips on every kernel, and the SIMT SM and multicore,
+// where skipping cost wall time, never do.
 func TestSkipBitIdentical(t *testing.T) {
 	p := arch.Default()
 	noSkip := p
 	noSkip.NoSkip = true
 	archs := append(Architectures(), ArchMulticore)
+	nonParticipant := map[string]bool{ArchGPGPU: true, ArchVWS: true, ArchVWSRow: true, ArchMulticore: true}
 	for _, a := range archs {
 		for _, b := range workloads.All() {
 			ref, refRed, err := Run(a, b, noSkip, 32, Options{})
@@ -28,6 +33,12 @@ func TestSkipBitIdentical(t *testing.T) {
 			got, gotRed, err := Run(a, b, p, 32, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s skip: %v", a, b.Name(), err)
+			}
+			if nonParticipant[a] && got.SkippedEdges != 0 {
+				t.Errorf("%s/%s: skipped %d edges; this model takes no part in skipping", a, b.Name(), got.SkippedEdges)
+			}
+			if !nonParticipant[a] && got.SkippedEdges == 0 {
+				t.Errorf("%s/%s: skipped no edges; the corelet family must skip", a, b.Name())
 			}
 			if got.Time != ref.Time || got.Cycles != ref.Cycles {
 				t.Errorf("%s/%s: time/cycles %d/%d with skip, %d/%d without",

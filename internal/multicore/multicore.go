@@ -42,8 +42,9 @@ type Config struct {
 	MemClockHz    float64
 	MemQueueDepth int
 	Latencies     corelet.Latencies
-	// NoSkip disables the engine's quiescence time skipping (see
-	// arch.Params.NoSkip): a speed knob, never a model change.
+	// NoSkip has no effect: the multicore model takes no part in the
+	// engine's quiescence time skipping, which cost it wall time (see
+	// DESIGN.md). The field stays for callers that still set it.
 	NoSkip bool
 }
 
@@ -99,7 +100,6 @@ func (c Config) nodeParams() arch.Params {
 	p.MemQueueDepth = c.MemQueueDepth
 	p.ComputeHz = c.ClockHz
 	p.ChannelHz = c.MemClockHz
-	p.NoSkip = c.NoSkip
 	return p
 }
 
@@ -339,64 +339,13 @@ func New(c Config, ep energy.Params, l core.Launch) (*System, error) {
 	return s, nil
 }
 
-// coresTicker registers the core clock with the node, including the
-// quiescence protocol (the System's exported method set stays the model
-// API).
+// coresTicker registers the core clock with the node (the System's exported
+// method set stays the model API).
 type coresTicker struct{ s *System }
 
 func (t coresTicker) Tick(now sim.Time) { t.s.tick(now) }
 
 func (t coresTicker) Halted() bool { return t.s.Halted() }
-
-// NextWork reports the earliest future core-clock tick at which the system
-// tick could change state: the earliest delayed completion due to fire, or
-// the earliest cycle any live core needs its slots stepped in lockstep. Each
-// system tick advances a core IssueWidth corelet cycles, so a core whose
-// next lockstep cycle is d corelet cycles away (CoreNextWork) first needs
-// the sweep ceil(d/IssueWidth) system ticks from now.
-func (t coresTicker) NextWork(sim.Time) sim.Time {
-	s := t.s
-	tk := int64(s.ticks)
-	iw := int64(s.C.IssueWidth)
-	w := int64(1<<63 - 1)
-	for _, e := range s.delay.q {
-		if due := int64(e.due); due < w {
-			if due <= tk+1 {
-				return s.node.Compute.TimeOfTick(uint64(tk + 1))
-			}
-			w = due
-		}
-	}
-	for _, co := range s.live {
-		d := s.cluster.CoreNextWork(int(co), tk*iw)
-		if d == corelet.NeverTicks {
-			continue
-		}
-		if d <= iw {
-			return s.node.Compute.TimeOfTick(uint64(tk + 1))
-		}
-		if n := tk + (d+iw-1)/iw; n < w {
-			w = n
-		}
-	}
-	if w == 1<<63-1 {
-		return sim.Never
-	}
-	return s.node.Compute.TimeOfTick(uint64(w))
-}
-
-// SkipTicks replays n dead system ticks: the tick counter and delay-line
-// clock advance, and every live core burns its idle issue slots up to the
-// new tick's last slot, exactly as the dispatched loop would have.
-func (t coresTicker) SkipTicks(n int64) {
-	s := t.s
-	s.ticks += uint64(n)
-	s.delay.now += uint64(n)
-	to := int64(s.ticks) * int64(s.C.IssueWidth)
-	for _, co := range s.live {
-		s.cluster.SkipCore(int(co), to)
-	}
-}
 
 // tick gives each core IssueWidth issue slots per cycle by advancing it to
 // the cycle's last slot (corelet.Cluster.Advance). A core that halts

@@ -168,6 +168,7 @@ func TestRoutingConsistencyAndFailover(t *testing.T) {
 		"RowByte":     `{"experiment":"ablation","params":{"DRAM":{"RowByte":4096}}}`,
 		"parallelism": `{"experiment":"ablation","parallelism":4}`,
 		"Parallelism": `{"experiment":"ablation","params":{"Parallelism":4}}`,
+		"skip":        `{"experiment":"ablation","skip":"off"}`,
 	} {
 		rec := httptest.NewRecorder()
 		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))

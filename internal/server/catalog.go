@@ -70,8 +70,6 @@ func paramsFor(uses []string) []paramDesc {
 			Description: "dataset seed threaded through every run the experiment performs (0 = canonical)"},
 		paramDesc{Name: "timeout_ms", Type: "integer", Default: 0.0, Min: bound(0),
 			Description: "service-side execution bound; operational only, not part of the job id (0 = server default)"},
-		paramDesc{Name: "skip", Type: "string", Default: "",
-			Description: "engine quiescence time skipping: \"on\" or \"off\"; bit-identical either way (\"\" = server default)"},
 	)
 }
 

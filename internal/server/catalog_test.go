@@ -60,7 +60,7 @@ func TestParamDescriptorShape(t *testing.T) {
 
 	for _, e := range entries {
 		ds := descriptors(e)
-		for _, universal := range []string{"params", "seed", "timeout_ms", "skip",
+		for _, universal := range []string{"params", "seed", "timeout_ms",
 			"stack_mode", "stack_bytes", "backing_bytes", "backing_latency"} {
 			if _, ok := ds[universal]; !ok {
 				t.Errorf("%s: missing universal descriptor %q", e.Name, universal)
@@ -94,8 +94,8 @@ func TestParamDescriptorShape(t *testing.T) {
 			}
 		}
 	}
-	if ds := descriptors(byName["table3"]); len(ds) != 8 {
-		t.Errorf("table3 reads no options, want only the 8 universal descriptors, got %d", len(ds))
+	if ds := descriptors(byName["table3"]); len(ds) != 7 {
+		t.Errorf("table3 reads no options, want only the 7 universal descriptors, got %d", len(ds))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestParamDescriptorsMatchDecoder(t *testing.T) {
 			if d.Type == "string" {
 				// String options decode closed value sets: a made-up value
 				// must be rejected, a documented one accepted.
-				valid, ok := map[string]string{"skip": "off", "stack_mode": "memory"}[d.Name]
+				valid, ok := map[string]string{"stack_mode": "memory"}[d.Name]
 				if !ok {
 					t.Errorf("%s: string descriptor %q has no known-good probe value", e.Name, d.Name)
 					continue

@@ -7,12 +7,6 @@ package server
 func (s *Server) registerMetrics() {
 	r := s.reg
 	r.Gauge("server.workers", func() float64 { return float64(s.pool.Workers()) })
-	r.Gauge("server.engine_skip", func() float64 {
-		if s.noskip {
-			return 0
-		}
-		return 1
-	})
 	r.Gauge("server.queue_capacity", func() float64 { return float64(s.pool.Capacity()) })
 	r.Gauge("server.queue_depth", func() float64 { return float64(s.pool.Depth()) })
 	r.Gauge("server.jobs_running", func() float64 { return float64(s.pool.Running()) })

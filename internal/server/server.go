@@ -72,14 +72,9 @@ type jobRequest struct {
 	HostBandwidthGBs float64         `json:"host_bandwidth_gbs,omitempty"`
 	TimelineEvery    uint64          `json:"timeline_every,omitempty"`
 	TimeoutMS        int64           `json:"timeout_ms,omitempty"`
-	// Skip picks the engine's quiescence time skipping for this job: "on",
-	// "off", or "" for the server default. Skipping is bit-identical either
-	// way — an operational knob like timeout_ms — so it is stripped from the
-	// canonical form; ids and cached bodies are shared across settings.
-	Skip string `json:"skip,omitempty"`
 	// Nodes and Processors set the cluster experiment's geometry (0 = the
-	// historical 4 nodes x 1 processor). Unlike skip they change what is
-	// simulated, so they are part of the canonical form.
+	// historical 4 nodes x 1 processor). Unlike timeout_ms they change what
+	// is simulated, so they are part of the canonical form.
 	Nodes      int `json:"nodes,omitempty"`
 	Processors int `json:"processors,omitempty"`
 	// StackMode, StackBytes, BackingBytes, and BackingLatency are top-level
@@ -112,10 +107,6 @@ type Options struct {
 	// millid store daemon, via rescache.NewHTTPTier, or an in-process
 	// rescache.Store); nil keeps the cache single-tier.
 	Shared rescache.SharedTier
-	// NoSkip disables the engine's quiescence time skipping by default for
-	// jobs that do not set "skip" themselves. Results are bit-identical
-	// either way; skipping only changes wall-clock time.
-	NoSkip bool
 	// Runner overrides the simulation backend (tests); nil runs the real
 	// experiment registry.
 	Runner Runner
@@ -134,7 +125,6 @@ type jobRecord struct {
 	ID          string
 	Req         Request
 	Timeout     time.Duration
-	NoSkip      bool // effective time-skipping setting (operational, like Timeout)
 	Status      jobStatus
 	Error       string
 	Cached      bool // satisfied from the result cache without simulating
@@ -154,7 +144,6 @@ type Server struct {
 	reg      *metrics.Registry
 	run      Runner
 	timeout  time.Duration
-	noskip   bool // default time-skipping off-switch for jobs that set none
 	expNames map[string]bool
 
 	mu       sync.Mutex
@@ -183,7 +172,6 @@ func New(base arch.Params, o Options) *Server {
 		cache:    rescache.New(cacheEntries),
 		run:      o.Runner,
 		timeout:  o.DefaultTimeout,
-		noskip:   o.NoSkip,
 		expNames: map[string]bool{},
 		jobsByID: map[string]*jobRecord{},
 		mux:      http.NewServeMux(),
@@ -250,8 +238,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // normalize validates the wire request and produces its canonical form plus
-// the operational knobs (timeout, time skipping) that ride alongside it.
-func (s *Server) normalize(jr jobRequest) (Request, time.Duration, bool, error) {
+// the operational timeout that rides alongside it.
+func (s *Server) normalize(jr jobRequest) (Request, time.Duration, error) {
 	return canonicalize(s.base, s.expNames, s.timeout, jr)
 }
 
@@ -272,7 +260,7 @@ func CanonicalID(base arch.Params, body []byte) (string, error) {
 	if err := dec.Decode(&jr); err != nil {
 		return "", fmt.Errorf("bad request body: %w", err)
 	}
-	req, _, _, err := canonicalize(base, canonNames, 0, jr)
+	req, _, err := canonicalize(base, canonNames, 0, jr)
 	if err != nil {
 		return "", err
 	}
@@ -286,24 +274,24 @@ var (
 
 // canonicalize validates one wire request against the experiment set and
 // produces its canonical form over the base configuration.
-func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Duration, jr jobRequest) (Request, time.Duration, bool, error) {
+func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Duration, jr jobRequest) (Request, time.Duration, error) {
 	if !expNames[jr.Experiment] {
-		return Request{}, 0, false, fmt.Errorf("unknown experiment %q (see GET /v1/experiments)", jr.Experiment)
+		return Request{}, 0, fmt.Errorf("unknown experiment %q (see GET /v1/experiments)", jr.Experiment)
 	}
 	if jr.Scale < 0 || math.IsInf(jr.Scale, 0) {
-		return Request{}, 0, false, fmt.Errorf("bad scale %g", jr.Scale)
+		return Request{}, 0, fmt.Errorf("bad scale %g", jr.Scale)
 	}
 	if jr.TimeoutMS < 0 {
-		return Request{}, 0, false, fmt.Errorf("bad timeout_ms %d", jr.TimeoutMS)
+		return Request{}, 0, fmt.Errorf("bad timeout_ms %d", jr.TimeoutMS)
 	}
 	if jr.HostBandwidthGBs < 0 {
-		return Request{}, 0, false, fmt.Errorf("bad host_bandwidth_gbs %g", jr.HostBandwidthGBs)
+		return Request{}, 0, fmt.Errorf("bad host_bandwidth_gbs %g", jr.HostBandwidthGBs)
 	}
 	if jr.Nodes < 0 || jr.Nodes > 64 {
-		return Request{}, 0, false, fmt.Errorf("bad nodes %d (want 0..64)", jr.Nodes)
+		return Request{}, 0, fmt.Errorf("bad nodes %d (want 0..64)", jr.Nodes)
 	}
 	if jr.Processors < 0 || jr.Processors > 32 {
-		return Request{}, 0, false, fmt.Errorf("bad processors %d (want 0..32)", jr.Processors)
+		return Request{}, 0, fmt.Errorf("bad processors %d (want 0..32)", jr.Processors)
 	}
 	p := base
 	if len(jr.Params) > 0 {
@@ -312,7 +300,7 @@ func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Du
 		dec := json.NewDecoder(bytes.NewReader(jr.Params))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&p); err != nil {
-			return Request{}, 0, false, fmt.Errorf("bad params: %v", err)
+			return Request{}, 0, fmt.Errorf("bad params: %v", err)
 		}
 	}
 	// The top-level stack knobs are conveniences over the same Params
@@ -332,24 +320,12 @@ func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Du
 	}
 	if len(jr.Params) > 0 || stacked {
 		if err := p.Validate(); err != nil {
-			return Request{}, 0, false, fmt.Errorf("bad params: %v", err)
+			return Request{}, 0, fmt.Errorf("bad params: %v", err)
 		}
 	}
-	// Quiescence time skipping never changes what is simulated (results are
-	// bit-identical on or off), so "skip" is validated here and stripped
-	// from the canonical form — identical simulations share one id and one
-	// cache entry. The top-level field wins over a NoSkip smuggled in via
-	// params.
-	noskip := p.NoSkip
-	switch jr.Skip {
-	case "":
-	case "on":
-		noskip = false
-	case "off":
-		noskip = true
-	default:
-		return Request{}, 0, false, fmt.Errorf("bad skip %q (want \"on\" or \"off\")", jr.Skip)
-	}
+	// Quiescence time skipping never changes what is simulated, and each
+	// model decides whether it takes part, so a NoSkip sent in params is
+	// dropped: identical simulations share one id and one cache entry.
 	p.NoSkip = false
 	req := Request{
 		Experiment:       jr.Experiment,
@@ -387,7 +363,7 @@ func canonicalize(base arch.Params, expNames map[string]bool, defTimeout time.Du
 	if jr.TimeoutMS > 0 {
 		timeout = time.Duration(jr.TimeoutMS) * time.Millisecond
 	}
-	return req, timeout, noskip, nil
+	return req, timeout, nil
 }
 
 // statusBody is the job-status wire form (POST /v1/jobs, GET /v1/jobs/{id}).
@@ -439,13 +415,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	req, timeout, noskip, err := s.normalize(jr)
+	req, timeout, err := s.normalize(jr)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if jr.Skip == "" && !noskip {
-		noskip = s.noskip
 	}
 	id, err := rescache.Key(req)
 	if err != nil {
@@ -483,7 +456,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seq++
 	rec = &jobRecord{
-		ID: id, Req: req, Timeout: timeout, NoSkip: noskip,
+		ID: id, Req: req, Timeout: timeout,
 		Status: statusQueued, SubmittedAt: time.Now(), seq: s.seq,
 	}
 	s.jobsByID[id] = rec
@@ -518,14 +491,7 @@ func (s *Server) execute(ctx context.Context, id string) {
 	rec.Status = statusRunning
 	rec.StartedAt = time.Now()
 	req := rec.Req
-	noskip := rec.NoSkip
 	s.mu.Unlock()
-
-	// The skip setting is applied to the run only — the canonical request
-	// (and therefore the rendered result, which embeds it) stays skip-free
-	// so cache bodies are byte-identical across settings.
-	runReq := req
-	runReq.Params.NoSkip = noskip
 
 	// DoContext: if this job's ctx ends while an identical computation is in
 	// flight (a resubmitted id joining its predecessor), the join detaches
@@ -539,7 +505,7 @@ func (s *Server) execute(ctx context.Context, id string) {
 			}
 		}()
 		s.sims.Add(1)
-		res, err := s.run(ctx, runReq)
+		res, err := s.run(ctx, req)
 		if err != nil {
 			return nil, err
 		}

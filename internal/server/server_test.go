@@ -448,7 +448,6 @@ func TestValidation(t *testing.T) {
 		"negative scale":     {"experiment": "fig3", "scale": -1},
 		"negative timeout":   {"experiment": "fig3", "timeout_ms": -5},
 		"negative seed":      {"experiment": "fig3", "seed": -7},
-		"bad skip":           {"experiment": "fig3", "skip": "sideways"},
 		"unknown field":      {"experiment": "fig3", "bogus": true},
 		"bad params":         {"experiment": "fig3", "params": map[string]any{"Corelets": -4}},
 	} {
@@ -458,7 +457,8 @@ func TestValidation(t *testing.T) {
 	}
 	// An unknown key answers 400 naming it, inside params as at the top
 	// level: a misspelled override must not silently run the base config.
-	// "parallelism" is a removed knob that older clients may still send.
+	// "parallelism" and "skip" are removed knobs that older clients may
+	// still send.
 	for name, tc := range map[string]struct {
 		req map[string]any
 		key string
@@ -466,6 +466,7 @@ func TestValidation(t *testing.T) {
 		"params typo":           {map[string]any{"experiment": "fig3", "params": map[string]any{"Corelet": 64}}, "Corelet"},
 		"nested params typo":    {map[string]any{"experiment": "fig3", "params": map[string]any{"DRAM": map[string]any{"RowByte": 4096}}}, "RowByte"},
 		"top-level parallelism": {map[string]any{"experiment": "fig3", "parallelism": 4}, "parallelism"},
+		"top-level skip":        {map[string]any{"experiment": "fig3", "skip": "off"}, "skip"},
 		"params parallelism":    {map[string]any{"experiment": "fig3", "params": map[string]any{"Parallelism": 4}}, "Parallelism"},
 	} {
 		code, data := doJSON(t, "POST", ts.URL+"/v1/jobs", tc.req)
@@ -509,21 +510,15 @@ func TestParamsOverride(t *testing.T) {
 	}
 }
 
-// TestSkipOperational: quiescence time skipping is an operational knob like
-// timeout_ms — requests that differ only in the skip setting (top-level or a
-// NoSkip smuggled through params) share one job id and one cache entry,
-// because skipping is bit-identical on or off.
+// TestSkipOperational: quiescence time skipping never changes what is
+// simulated, so a NoSkip sent through params is stripped and the request
+// keeps the base job id and cache entry.
 func TestSkipOperational(t *testing.T) {
 	g := newGateRunner()
 	defer close(g.gate)
 	_, ts := newTestServer(t, server.Options{Runner: g.run})
 	_, a := postJob(t, ts, map[string]any{"experiment": "fig3"})
-	_, b := postJob(t, ts, map[string]any{"experiment": "fig3", "skip": "off"})
-	_, c := postJob(t, ts, map[string]any{"experiment": "fig3", "skip": "on"})
 	_, d := postJob(t, ts, map[string]any{"experiment": "fig3", "params": map[string]any{"NoSkip": true}})
-	if a.ID != b.ID || a.ID != c.ID {
-		t.Fatal("skip setting changed the job id; it must stay operational")
-	}
 	if a.ID != d.ID {
 		t.Fatal("params.NoSkip changed the job id; canonicalization must strip it")
 	}

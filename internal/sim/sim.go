@@ -183,9 +183,6 @@ func NewEngine() *Engine { return &Engine{skip: true} }
 // dispatches every edge; results are bit-identical either way.
 func (e *Engine) SetSkip(on bool) { e.skip = on }
 
-// SkipEnabled reports whether quiescence skipping is enabled.
-func (e *Engine) SkipEnabled() bool { return e.skip }
-
 // SkippedEdges returns the number of edges elided by quiescence skipping.
 func (e *Engine) SkippedEdges() uint64 { return e.skippedEdges }
 

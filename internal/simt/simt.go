@@ -142,15 +142,6 @@ type SM struct {
 	// list in place); sliceLive counts non-done warps per slice.
 	liveSlices []int
 	sliceLive  []int
-	// progress records whether the last tick issued any lanes: while it
-	// holds, NextWork answers "busy" without scanning gates or probing the
-	// L1, so the quiescence machinery costs O(1) on non-stalled ticks.
-	progress bool
-	// busyUntil memoizes a full stall scan that concluded "busy": until
-	// this tick NextWork answers "busy" without rescanning. Claiming busy
-	// is always safe — at worst a window opening inside the horizon is
-	// entered a few edges late — so no invalidation is needed.
-	busyUntil int64
 	// Scratch buffers reused across memory accesses (hot path).
 	scratchBlocks []uint32
 	// seen stamps shared-memory words with the epoch of the access that last
@@ -169,11 +160,6 @@ type SM struct {
 // gateBlocked marks a warp that cannot issue until a memory event (or never,
 // once done); completions rewrite the gate with the warp's readyAt.
 const gateBlocked = int64(math.MaxInt64)
-
-// busyMemoTicks bounds how long a "busy" stall-scan verdict is reused before
-// rescanning: a window opening inside the horizon is entered at most this
-// many edges late, in exchange for an 8x cut in scan cost on stalled ticks.
-const busyMemoTicks = 8
 
 // NewSM builds and loads an SM for one launch. The launch's interleave must
 // be Word (the coalesceable layout the paper says GPGPUs require).
@@ -365,101 +351,6 @@ func (m *SM) Tick(now sim.Time) {
 	}
 	m.liveSlices = live[:k]
 	m.stats.LaneIdle += uint64(m.P.Corelets - issuedLanes)
-	m.progress = issuedLanes > 0
-}
-
-// NextWork implements sim.NextWorker: the earliest future tick at which any
-// live slice could retry a bounced transaction (next tick, when pending) or
-// issue a warp (its gate value; gateBlocked warps wait on memory events,
-// which only arrive from memory-domain work ticks that end the window).
-func (m *SM) NextWork(sim.Time) sim.Time {
-	t := int64(m.ticks)
-	if m.progress {
-		// An SM that issued lanes last tick is busy; the full stall scan
-		// below runs only on dead ticks, where a window might open.
-		// (Conservative is always safe: claiming busy just skips less.)
-		return m.node.Compute.TimeOfTick(uint64(t + 1))
-	}
-	if t < m.busyUntil {
-		// A recent full scan already proved the SM busy; re-answer busy
-		// until the horizon without paying the gate/L1 sweeps again.
-		return m.node.Compute.TimeOfTick(uint64(t + 1))
-	}
-	if m.buf != nil && m.buf.PumpPending() > 0 && !m.buf.PumpStalled() {
-		// Stalled pumps (every pending fetch facing a full channel queue)
-		// are provable no-ops until the next channel work tick; SkipTicks
-		// replays their reject bookkeeping.
-		m.busyUntil = t + busyMemoTicks
-		return m.node.Compute.TimeOfTick(uint64(t + 1))
-	}
-	w := gateBlocked
-	for _, s := range m.liveSlices {
-		if m.slicePending[s] > 0 && !m.sliceRetriesStalled(s) {
-			m.busyUntil = t + busyMemoTicks
-			return m.node.Compute.TimeOfTick(uint64(t + 1))
-		}
-		base := s * m.P.Contexts
-		for _, g := range m.gate[base : base+m.P.Contexts] {
-			if g == gateBlocked {
-				continue
-			}
-			if g <= t+1 {
-				m.busyUntil = t + busyMemoTicks
-				return m.node.Compute.TimeOfTick(uint64(t + 1))
-			}
-			if g < w {
-				w = g
-			}
-		}
-	}
-	if w == gateBlocked {
-		return sim.Never
-	}
-	return m.node.Compute.TimeOfTick(uint64(w))
-}
-
-// SkipTicks implements sim.NextWorker: a dead SM tick touches only the
-// cycle counters and the all-lanes-idle tally (no slice issues, so the
-// live-slice list and round-robin pointers are untouched).
-func (m *SM) SkipTicks(n int64) {
-	m.ticks += uint64(n)
-	m.stats.Cycles += uint64(n)
-	m.stats.LaneIdle += uint64(n) * uint64(m.P.Corelets)
-	if m.buf != nil {
-		m.buf.SkipPumpTicks(n)
-	}
-	for _, s := range m.liveSlices {
-		if m.slicePending[s] == 0 {
-			continue
-		}
-		// Each elided tick re-attempted every bounced transaction once
-		// (tickSlice's retry sweep); replay the per-attempt bookkeeping.
-		base := s * m.P.Contexts
-		for _, w := range m.warps[base : base+m.P.Contexts] {
-			for _, b := range w.pendingBlk {
-				m.l1.TallyRetries(b, uint64(n))
-			}
-		}
-	}
-}
-
-// sliceRetriesStalled reports whether every transaction bounced off the L1
-// by slice s would provably bounce again: the cache's answer can change
-// only on a fill completion or another warp's access, and blocked warps
-// (the only state under which a window forms) produce neither.
-func (m *SM) sliceRetriesStalled(s int) bool {
-	if m.l1 == nil {
-		return false
-	}
-	base := s * m.P.Contexts
-	for _, w := range m.warps[base : base+m.P.Contexts] {
-		for _, b := range w.pendingBlk {
-			if !m.l1.WouldRetry(b) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (m *SM) tickSlice(s int) int {

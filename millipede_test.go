@@ -1,6 +1,11 @@
 package millipede
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/workloads"
+)
 
 func TestPublicAPISmoke(t *testing.T) {
 	cfg := DefaultConfig()
@@ -81,6 +86,55 @@ func TestPublicRunNode(t *testing.T) {
 	}
 	if r.Time <= 0 || len(r.ProcessorTimes) != 2 || len(r.Output) == 0 {
 		t.Errorf("node result: %+v", r)
+	}
+}
+
+// TestPublicBadInputsReturnErrors: a negative record count or a malformed
+// centroid set reaching the public API comes back as an error naming the
+// problem; none of them panics (RunNode's would kill the process from a
+// worker goroutine).
+func TestPublicBadInputsReturnErrors(t *testing.T) {
+	cfg := DefaultConfig()
+	small := cfg
+	small.Corelets, small.Contexts, small.PrefetchEntries = 8, 2, 8
+	cents := workloads.KMeansCentroids()
+	ragged := workloads.KMeansCentroids()
+	ragged[1] = ragged[1][:1]
+	run := func(a string) func() error {
+		return func() error { _, err := RunBenchmark(a, "count", cfg, -5); return err }
+	}
+	reduced := func(a string) func() error {
+		return func() error { _, _, err := RunReduced(a, "count", cfg, -5); return err }
+	}
+	kmeans := func(c [][]float32, records int) func() error {
+		return func() error { _, _, err := KMeansIteration(cfg, c, records); return err }
+	}
+	for name, tc := range map[string]struct {
+		call func() error
+		want string
+	}{
+		"RunBenchmark millipede":  {run(ArchMillipede), "negative record count"},
+		"RunBenchmark gpgpu":      {run(ArchGPGPU), "negative record count"},
+		"RunReduced millipede":    {reduced(ArchMillipede), "negative record count"},
+		"RunReduced gpgpu":        {reduced(ArchGPGPU), "negative record count"},
+		"RunReduced multicore":    {reduced(ArchMulticore), "negative record count"},
+		"RunNode":                 {func() error { _, err := RunNode("count", small, 2, -5); return err }, "negative record count"},
+		"RateTrace":               {func() error { _, _, err := RateTrace("count", small, -5); return err }, "negative record count"},
+		"KMeansIteration records": {kmeans(cents, -5), "negative record count"},
+		"KMeansIteration nil":     {kmeans(nil, 16), "centroids"},
+		"KMeansIteration wrong K": {kmeans(cents[1:], 16), "centroids"},
+		"KMeansIteration ragged":  {kmeans(ragged, 16), "centroid 1"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if err := tc.call(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
