@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check bench benchjson bench-diff bench-diff-noskip trace-demo serve-demo cluster-demo
+.PHONY: all build test check bench bench-diff bench-diff-noskip trace-demo serve-demo cluster-demo
 
 all: build
 
@@ -23,8 +23,8 @@ test:
 #   TestMultiChannelGoldenEquivalence — 2- and 4-channel runs reduce to the
 #     single-channel output, and their Time/Cycles match a pinned hash;
 #   TestCycleLoopAllocFree — the steady-state cycle loop must make zero heap
-#     allocations on every architecture (allocs_per_run/bytes_per_run in
-#     BENCH_*.json track the same number per entry);
+#     allocations on every architecture, behind every stack backend and in
+#     the barrier ablation's count variants;
 #   TestStreamingEquivalentToOneShot — any chunking of a dataset Source is
 #     byte-identical to a one-shot materialization;
 #   TestStreamingConstantMemory — folding an 800x dataset through bounded
@@ -59,14 +59,12 @@ check:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# benchjson regenerates the benchmark-trajectory snapshot (see
-# EXPERIMENTS.md, "Benchmark trajectory").
-benchjson:
-	$(GO) run ./cmd/milliexp -benchjson BENCH_4.json
-
-# bench-diff is the determinism gate: re-measure and fail unless every
-# records/sim_cycles/sim_picos/insts field is bit-identical to the
-# committed baseline. A timing-neutral change must pass this unchanged.
+# bench-diff is the determinism gate: re-run the 48 arch x bench entries
+# and fail unless every records/sim_cycles/sim_picos/insts field is
+# bit-identical to the committed baseline. A timing-neutral change must pass
+# this unchanged; a change that alters timing on purpose writes a new
+# baseline with `milliexp -benchjson` (see EXPERIMENTS.md, "Determinism
+# gate").
 BENCH_BASE ?= BENCH_4.json
 bench-diff:
 	$(GO) run ./cmd/milliexp -benchdiff $(BENCH_BASE)

@@ -9,22 +9,19 @@
 //
 //	milliexp -list
 //	milliexp [-scale 1.0] [-only fig3,fig4,timeline,...]
-//	milliexp -benchjson BENCH_2.json [-benchbase BENCH_1.json] [-benchscale 0.25]
-//	milliexp -benchdiff BENCH_1.json [-benchjson BENCH_2.json]
+//	milliexp -benchdiff BENCH_4.json [-skip off]
+//	milliexp -benchjson BENCH_5.json
 //
 // scale multiplies each benchmark's default input size; 1.0 is the
 // paper-scale run recorded in EXPERIMENTS.md.
 //
-// -benchjson records the simulator's own throughput (simulated cycles and
-// instructions per wall-clock second for every architecture x benchmark,
-// plus the wall time of a full Figure 3 reproduction) into the named
-// BENCH_*.json file; -benchbase additionally prints a speedup comparison
-// against a previously recorded file. See EXPERIMENTS.md, "Benchmark
-// trajectory".
-//
-// -benchdiff is the determinism gate: it re-collects at the baseline's
-// scale and exits nonzero unless every entry's records, sim_cycles,
-// sim_picos, and insts are bit-identical to the baseline file.
+// -benchdiff is the determinism gate: it re-runs Figure 3's six
+// architectures on every benchmark at the baseline's scale and exits
+// nonzero unless every entry's records, sim_cycles, sim_picos, and insts
+// are bit-identical to the baseline file. -benchjson writes those fields
+// as a fresh baseline (at scale 0.25, or the -benchdiff baseline's scale),
+// for a change that alters simulated timing on purpose. Simulator speed is
+// measured by millibench (bench/), not here.
 package main
 
 import (
@@ -42,7 +39,6 @@ import (
 	"time"
 
 	millipede "repro"
-	"repro/internal/benchreport"
 	_ "repro/internal/sla" // registers the serving-layer "sla" experiment
 )
 
@@ -58,10 +54,8 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "input-size multiplier")
 	list := flag.Bool("list", false, "print the experiment registry (names and descriptions) and exit")
 	only := flag.String("only", "", "comma-separated subset of registered experiments (see -list)")
-	benchJSON := flag.String("benchjson", "", "measure simulator throughput and write a BENCH_*.json report to this path (skips figures)")
-	benchBase := flag.String("benchbase", "", "previous BENCH_*.json to compare the new report against")
-	benchScale := flag.Float64("benchscale", benchreport.DefaultScale, "input scale for -benchjson throughput runs")
-	benchDiff := flag.String("benchdiff", "", "determinism gate: collect a fresh report and exit nonzero unless its records/sim_cycles/sim_picos/insts are bit-identical to this baseline BENCH_*.json (skips figures)")
+	benchJSON := flag.String("benchjson", "", "write a fresh determinism baseline (records/sim_cycles/sim_picos/insts per arch x bench) to this path (skips figures)")
+	benchDiff := flag.String("benchdiff", "", "determinism gate: re-run and exit nonzero unless records/sim_cycles/sim_picos/insts are bit-identical to this baseline BENCH_*.json (skips figures)")
 	skip := flag.String("skip", "on", "engine quiescence time skipping, on or off: off replays every clock edge for the bench-diff-noskip determinism gate (bit-identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the run) to this file")
@@ -101,7 +95,7 @@ func main() {
 		return
 	}
 	if *benchJSON != "" || *benchDiff != "" {
-		runBenchReport(*benchJSON, *benchBase, *benchDiff, *benchScale, noskip)
+		runGate(*benchJSON, *benchDiff, noskip)
 		return
 	}
 
@@ -155,59 +149,43 @@ func main() {
 	}
 }
 
-// runBenchReport measures simulator throughput over Figure 3's workload set
-// and writes the BENCH_*.json trajectory point and/or runs the determinism
-// gate against a baseline report.
-func runBenchReport(path, basePath, diffPath string, scale float64, noskip bool) {
+// runGate re-runs the determinism gate's 48 entries, writes them to outPath
+// when it is set, and diffs them against the baseline at basePath when that
+// is set.
+func runGate(outPath, basePath string, noskip bool) {
 	cfg := millipede.DefaultConfig()
 	cfg.NoSkip = noskip
-	if diffPath != "" {
-		base, err := benchreport.Read(diffPath)
-		if err != nil {
+	scale := gateScale
+	var base *baseline
+	if basePath != "" {
+		var err error
+		if base, err = readBaseline(basePath); err != nil {
 			log.Fatalf("benchdiff: %v", err)
 		}
-		// Diff at the baseline's own scale so the record counts line up.
+		// Run at the baseline's own scale so the record counts line up.
 		scale = base.Scale
-		t0 := time.Now()
-		rep, err := benchreport.Collect(cfg, benchreport.Fig3Archs(), scale)
-		if err != nil {
-			log.Fatalf("benchdiff: %v", err)
-		}
-		if path != "" {
-			if err := rep.Write(path); err != nil {
-				log.Fatalf("benchdiff: %v", err)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		diffs := benchreport.DiffDeterminism(base, rep)
-		if len(diffs) > 0 {
-			for _, d := range diffs {
-				fmt.Println(d)
-			}
-			log.Fatalf("benchdiff: %d determinism mismatches against %s", len(diffs), diffPath)
-		}
-		fmt.Printf("benchdiff: %d entries bit-identical to %s on %v (collected in %s)\n",
-			len(rep.Entries), diffPath, benchreport.DeterminismFields,
-			time.Since(t0).Round(time.Millisecond))
-		return
 	}
 	t0 := time.Now()
-	rep, err := benchreport.Collect(cfg, benchreport.Fig3Archs(), scale)
+	cur, err := collect(cfg, scale)
 	if err != nil {
-		log.Fatalf("benchjson: %v", err)
+		log.Fatalf("bench gate: %v", err)
 	}
-	if err := rep.Write(path); err != nil {
-		log.Fatalf("benchjson: %v", err)
-	}
-	fmt.Printf("wrote %s (%d entries, collected in %s)\n", path, len(rep.Entries),
-		time.Since(t0).Round(time.Millisecond))
-	fmt.Printf("geomean simulated cycles/sec: %.0f; fig3 wall time: %.2fs\n",
-		rep.GeomeanCyclesPerSec["all"], rep.Fig3WallSeconds)
-	if basePath != "" {
-		base, err := benchreport.Read(basePath)
-		if err != nil {
-			log.Fatalf("benchbase: %v", err)
+	if outPath != "" {
+		if err := cur.write(outPath); err != nil {
+			log.Fatalf("benchjson: %v", err)
 		}
-		fmt.Printf("\ncomparison against %s:\n%s", basePath, benchreport.Compare(base, rep))
+		fmt.Printf("wrote %s (%d entries at scale %g)\n", outPath, len(cur.Entries), scale)
 	}
+	if base == nil {
+		return
+	}
+	diffs := diff(base, cur)
+	if len(diffs) > 0 {
+		for _, d := range diffs {
+			fmt.Println(d)
+		}
+		log.Fatalf("benchdiff: %d determinism mismatches against %s", len(diffs), basePath)
+	}
+	fmt.Printf("benchdiff: %d entries bit-identical to %s on [records sim_cycles sim_picos insts] (collected in %s)\n",
+		len(cur.Entries), basePath, time.Since(t0).Round(time.Millisecond))
 }

@@ -63,7 +63,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  iteration %d: shift %.4f\n", it, millipede.CentroidShift(cents, next))
+		shift, err := millipede.CentroidShift(cents, next)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  iteration %d: shift %.4f\n", it, shift)
 		cents = next
 	}
 

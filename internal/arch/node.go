@@ -64,9 +64,8 @@ type RunStats struct {
 	Metrics metrics.Snapshot
 	// Allocs and AllocBytes are the heap allocations (count and bytes, from
 	// runtime.MemStats, all goroutines) made inside the cycle loop. The
-	// models are designed to allocate nothing in steady state; benchreport
-	// records these per run so a regression is visible in the benchmark
-	// trajectory.
+	// models are designed to allocate nothing in steady state, and
+	// TestCycleLoopAllocFree in internal/harness holds them to zero.
 	Allocs     uint64
 	AllocBytes uint64
 	// SkippedEdges and SkipWindows report how much of the run the quiescence

@@ -134,9 +134,11 @@ type Processor struct {
 	ticks     uint64
 	// lastStarved is DFS sampling state.
 	lastStarved uint64
-	// Software-barrier coordination (Section IV-C ablation).
-	barWaiters []func()
-	barTarget  int
+	// Software-barrier coordination (Section IV-C ablation). Arrivals
+	// collect in barWaiters; a release swaps in barSpare. Both are pre-sized
+	// to barTarget, so a barrier never allocates in the cycle loop.
+	barWaiters, barSpare []func()
+	barTarget            int
 	// dfsTrace records (cycle, Hz) at every controller decision when rate
 	// matching is enabled, for convergence analysis.
 	dfsTrace []DFSSample
@@ -223,6 +225,8 @@ func NewProcessor(p arch.Params, ep energy.Params, l Launch) (*Processor, error)
 	}
 
 	pr.barTarget = p.Corelets * p.Contexts
+	pr.barWaiters = make([]func(), 0, pr.barTarget)
+	pr.barSpare = make([]func(), 0, pr.barTarget)
 	pr.cluster.SetBarrier(pr.barrierArrive)
 
 	if p.RateMatch {
@@ -392,7 +396,7 @@ func (pr *Processor) barrierArrive(release func()) {
 	pr.barWaiters = append(pr.barWaiters, release)
 	if len(pr.barWaiters) >= pr.barTarget {
 		ws := pr.barWaiters
-		pr.barWaiters = nil
+		pr.barWaiters, pr.barSpare = pr.barSpare[:0], ws
 		for _, w := range ws {
 			w()
 		}

@@ -41,6 +41,10 @@ func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uin
 		r, _, err := Run(a, b, p, records, Options{Seed: seed})
 		return int64(r.Time), err
 	}
+	barrier := func(interval int) (int64, error) {
+		r, err := runBarrierVariant(p, b, interval, records, seed)
+		return int64(r.Time), err
+	}
 	times := make([]int64, len(f.Series))
 	err := runJobs(ctx, len(times), func(i int) (err error) {
 		switch i {
@@ -49,9 +53,9 @@ func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uin
 		case 1:
 			times[i], err = run(ArchMillipedeNoFC)
 		case 2:
-			times[i], err = runBarrierVariant(p, b, 1, records, seed)
+			times[i], err = barrier(1)
 		case 3:
-			times[i], err = runBarrierVariant(p, b, 512, records, seed)
+			times[i], err = barrier(512)
 		}
 		return err
 	})
@@ -69,7 +73,7 @@ func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uin
 // runBarrierVariant runs count-with-barriers on a no-flow-control Millipede
 // processor and verifies the result against count's golden reference (the
 // barrier must not change results).
-func runBarrierVariant(p arch.Params, b *workloads.Benchmark, interval, records int, seed uint64) (int64, error) {
+func runBarrierVariant(p arch.Params, b *workloads.Benchmark, interval, records int, seed uint64) (arch.RunStats, error) {
 	q := p
 	q.FlowControl = false
 	k := kernels.CountBarrier(interval)
@@ -78,11 +82,11 @@ func runBarrierVariant(p arch.Params, b *workloads.Benchmark, interval, records 
 		Interleave: layout.Slab,
 	}
 	if err := lay.Validate(); err != nil {
-		return 0, err
+		return arch.RunStats{}, err
 	}
 	sl, err := kernels.LocalState(k, q.LocalBytes, q.Contexts)
 	if err != nil {
-		return 0, err
+		return arch.RunStats{}, err
 	}
 	args := kernels.ArgsAndConsts(k, lay.Walk(), sl, records)
 	pr, err := core.NewProcessor(q, energy.Default(), core.Launch{
@@ -90,17 +94,17 @@ func runBarrierVariant(p arch.Params, b *workloads.Benchmark, interval, records 
 		Sources: b.Sources(q.Threads(), records, seed), Args: args,
 	})
 	if err != nil {
-		return 0, err
+		return arch.RunStats{}, err
 	}
 	r, err := pr.Run(0)
 	if err != nil {
-		return 0, err
+		return arch.RunStats{}, err
 	}
 	got := workloads.ExtractStates(b, sl, lay, pr.ReadState)
 	if err := b.Verify(got, q.Threads(), records, seed); err != nil {
-		return 0, fmt.Errorf("harness: barrier variant changed results: %w", err)
+		return arch.RunStats{}, fmt.Errorf("harness: barrier variant changed results: %w", err)
 	}
-	return int64(r.Time), nil
+	return r.RunStats, nil
 }
 
 // WarpWidthSweep examines Variable Warp Sizing's design space: the paper

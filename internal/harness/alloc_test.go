@@ -15,9 +15,11 @@ import (
 // after one warm-up run (which populates the freelists and grows every
 // pre-sized buffer to its steady-state footprint), a second run of the same
 // experiment must make zero heap allocations inside the cycle loop, for
-// every kernel on every cluster/SIMT architecture, and on millipede behind
+// every kernel on every cluster/SIMT architecture, on millipede behind
 // each stack backend (hwcache, memcache, memory) with the dataset four
-// times the stack. The counter comes from
+// times the stack, and for the barrier ablation's count variants (a
+// software barrier every record and every 512 records on no-flow-control
+// millipede). The counter comes from
 // runtime.MemStats deltas around arch.Node.Run (see RunStats.Allocs), which
 // counts every goroutine — so GC is paused during the measured run to keep
 // runtime background work out of the ledger.
@@ -58,29 +60,43 @@ func TestCycleLoopAllocFree(t *testing.T) {
 				p.StackMode, p.StackBytes = string(c.stack), quarterStack(p, b, records)
 				name += "/" + string(c.stack)
 			}
-			if _, _, err := Run(c.arch, b, p, records, Options{}); err != nil {
-				t.Fatalf("%s warm-up: %v", name, err)
-			}
-			var counts []string
-			for try := 0; try <= allocRetries; try++ {
-				gc := debug.SetGCPercent(-1)
+			allocFree(t, name, func() (uint64, uint64, error) {
 				r, _, err := Run(c.arch, b, p, records, Options{})
-				debug.SetGCPercent(gc)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if r.CycleAllocs == 0 {
-					counts = nil
-					break
-				}
-				counts = append(counts, fmt.Sprintf("%d (%d bytes)", r.CycleAllocs, r.CycleBytes))
-			}
-			if counts != nil {
-				t.Errorf("%s: heap allocations in the cycle loop on every run: %s, want 0",
-					name, strings.Join(counts, ", "))
-			}
+				return r.CycleAllocs, r.CycleBytes, err
+			})
 		}
 	}
+	for _, interval := range []int{1, 512} {
+		allocFree(t, fmt.Sprintf("barrier-every-%d/count", interval), func() (uint64, uint64, error) {
+			rs, err := runBarrierVariant(arch.Default(), workloads.CountBench(), interval, records, Seed)
+			return rs.Allocs, rs.AllocBytes, err
+		})
+	}
+}
+
+// allocFree is TestCycleLoopAllocFree's rule for one run, which reports the
+// allocations (count and bytes) its cycle loop made: after a warm-up call,
+// at least one of 1+allocRetries calls made with GC paused must report none.
+func allocFree(t *testing.T, name string, run func() (allocs, bytes uint64, err error)) {
+	t.Helper()
+	if _, _, err := run(); err != nil {
+		t.Fatalf("%s warm-up: %v", name, err)
+	}
+	var counts []string
+	for try := 0; try <= allocRetries; try++ {
+		gc := debug.SetGCPercent(-1)
+		allocs, bytes, err := run()
+		debug.SetGCPercent(gc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if allocs == 0 {
+			return
+		}
+		counts = append(counts, fmt.Sprintf("%d (%d bytes)", allocs, bytes))
+	}
+	t.Errorf("%s: heap allocations in the cycle loop on every run: %s, want 0",
+		name, strings.Join(counts, ", "))
 }
 
 // quarterStack sizes the die stack at a quarter of b's dataset for records

@@ -57,9 +57,8 @@ type RunResult struct {
 	RowMissRate     float64
 	DRAMBytes       uint64
 	FinalHz         float64
-	// Cycles is the number of compute-clock cycles the model simulated —
-	// the numerator of the simulator-throughput metric recorded in
-	// BENCH_*.json (simulated cycles per wall-clock second).
+	// Cycles is the number of compute-clock cycles the model simulated (the
+	// sim_cycles field of the BENCH_*.json determinism baseline).
 	Cycles uint64
 	// Memory-controller contention counters, aggregated across channels:
 	// ticks with waiting-but-unissuable requests, the deepest queue
@@ -79,8 +78,8 @@ type RunResult struct {
 	// changes only); empty except on millipede-rate-match.
 	DFS []core.DFSSample
 	// CycleAllocs and CycleBytes count heap allocations made inside the
-	// model's cycle loop (zero in steady state by design; benchreport
-	// records them per run as the zero-alloc gate).
+	// model's cycle loop (zero in steady state by design; gated by
+	// TestCycleLoopAllocFree).
 	CycleAllocs uint64
 	CycleBytes  uint64
 	// SkippedEdges and SkipWindows report the engine's quiescence
@@ -130,8 +129,8 @@ func (o Options) seed() uint64 {
 func Run(archName string, b *workloads.Benchmark, p arch.Params, records int, o Options) (RunResult, []uint32, error) {
 	seed := o.seed()
 	res := RunResult{Arch: archName, Bench: b.Name()}
-	if records < 0 {
-		return res, nil, fmt.Errorf("harness: negative record count %d", records)
+	if records < 1 {
+		return res, nil, fmt.Errorf("harness: record count %d, want at least 1", records)
 	}
 	m, err := build(archName, b, p, records, seed, o)
 	if err != nil {
@@ -378,10 +377,16 @@ func KMeansIteration(p arch.Params, cents [][]float32, records int) ([][]float32
 }
 
 // CentroidShift returns the mean Euclidean distance between two centroid
-// sets (the k-means convergence measure).
-func CentroidShift(a, b [][]float32) float64 {
+// sets of the same shape (the k-means convergence measure).
+func CentroidShift(a, b [][]float32) (float64, error) {
+	if len(a) == 0 || len(b) != len(a) {
+		return 0, fmt.Errorf("harness: centroid shift needs two nonempty sets of equal size, got %d and %d centroids", len(a), len(b))
+	}
 	var sum float64
 	for c := range a {
+		if len(b[c]) != len(a[c]) {
+			return 0, fmt.Errorf("harness: centroid %d has %d dims in one set and %d in the other", c, len(a[c]), len(b[c]))
+		}
 		var d2 float64
 		for d := range a[c] {
 			diff := float64(a[c][d] - b[c][d])
@@ -389,5 +394,5 @@ func CentroidShift(a, b [][]float32) float64 {
 		}
 		sum += math.Sqrt(d2)
 	}
-	return sum / float64(len(a))
+	return sum / float64(len(a)), nil
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -315,7 +316,11 @@ func TestKMeansIterationConverges(t *testing.T) {
 		if res.Time <= 0 {
 			t.Fatal("empty result")
 		}
-		shifts = append(shifts, CentroidShift(cents, next))
+		shift, err := CentroidShift(cents, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shifts = append(shifts, shift)
 		cents = next
 	}
 	if !(shifts[0] > shifts[1] && shifts[1] >= shifts[2]) {
@@ -329,7 +334,20 @@ func TestKMeansIterationConverges(t *testing.T) {
 func TestCentroidShift(t *testing.T) {
 	a := [][]float32{{0, 0}, {1, 1}}
 	b := [][]float32{{3, 4}, {1, 1}}
-	if got := CentroidShift(a, b); got != 2.5 {
-		t.Errorf("shift = %v, want 2.5", got)
+	if got, err := CentroidShift(a, b); err != nil || got != 2.5 {
+		t.Errorf("shift = %v, %v; want 2.5", got, err)
+	}
+	for name, tc := range map[string]struct {
+		a, b [][]float32
+		want string
+	}{
+		"nil":     {a, nil, "2 and 0 centroids"},
+		"wrong K": {a, b[:1], "2 and 1 centroids"},
+		"ragged":  {a, [][]float32{{3, 4}, {1}}, "centroid 1 has 2 dims in one set and 1"},
+		"empty":   {nil, nil, "0 and 0 centroids"},
+	} {
+		if got, err := CentroidShift(tc.a, tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: shift = %v, error %v; want one containing %q", name, got, err, tc.want)
+		}
 	}
 }

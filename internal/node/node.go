@@ -52,8 +52,8 @@ func Run(p arch.Params, ep energy.Params, b *workloads.Benchmark, processors, re
 	if processors <= 0 {
 		return Result{}, fmt.Errorf("node: bad processor count %d", processors)
 	}
-	if records < 0 {
-		return Result{}, fmt.Errorf("node: negative record count %d", records)
+	if records < 1 {
+		return Result{}, fmt.Errorf("node: record count %d, want at least 1", records)
 	}
 	lay := layout.Layout{
 		RowBytes: p.DRAM.RowBytes, Corelets: p.Corelets, Contexts: p.Contexts,

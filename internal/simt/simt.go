@@ -71,7 +71,7 @@ type Stats struct {
 	SharedAcc    uint64 // shared-memory bank accesses
 	BankConflict uint64 // extra cycles from bank conflicts
 	Transactions uint64 // coalesced global transactions (cache accesses)
-	LaneIdle     uint64 // lane-cycles without work (divergence + stalls)
+	LaneIdle     uint64 // lane-cycles without work (divergence + stalls); see counters
 	Cycles       uint64
 }
 
@@ -290,7 +290,7 @@ func NewSM(p arch.Params, ep energy.Params, v Variant, l core.Launch) (*SM, erro
 		m.sliceLive[s] = p.Contexts
 	}
 	node.Metrics.Counter("core.cycles", func() uint64 { return m.ticks })
-	RegisterStats(node.Metrics, "simt", func() Stats { return m.stats })
+	RegisterStats(node.Metrics, "simt", m.counters)
 	if m.l1 != nil {
 		cache.RegisterStats(node.Metrics, "cache", m.l1.Stats)
 	}
@@ -337,11 +337,10 @@ func (m *SM) Tick(now sim.Time) {
 	if m.buf != nil {
 		m.buf.Pump()
 	}
-	issuedLanes := 0
 	live := m.liveSlices
 	k := 0
 	for i, s := range live {
-		issuedLanes += m.tickSlice(s)
+		m.tickSlice(s)
 		if m.sliceLive[s] > 0 {
 			if k != i {
 				live[k] = s
@@ -350,10 +349,18 @@ func (m *SM) Tick(now sim.Time) {
 		}
 	}
 	m.liveSlices = live[:k]
-	m.stats.LaneIdle += uint64(m.P.Corelets - issuedLanes)
 }
 
-func (m *SM) tickSlice(s int) int {
+// counters returns the execution counters with LaneIdle filled in. Every
+// cycle offers each lane one issue slot and every executed lane-instruction
+// fills one, so the idle lane-cycles follow from Cycles and ThreadInsts.
+func (m *SM) counters() Stats {
+	s := m.stats
+	s.LaneIdle = uint64(m.P.Corelets)*s.Cycles - s.ThreadInsts
+	return s
+}
+
+func (m *SM) tickSlice(s int) {
 	n := m.P.Contexts
 	base := s * n
 	warps := m.warps[base : base+n]
@@ -376,7 +383,7 @@ func (m *SM) tickSlice(s int) int {
 	if m.sliceNext[s] > now {
 		// A previous empty scan proved no gate can open before sliceNext,
 		// and every gate write since would have reset it.
-		return 0
+		return
 	}
 	// The issue scan reads only the flat gate array; warp state is touched
 	// just for the warp that actually issues.
@@ -396,16 +403,15 @@ func (m *SM) tickSlice(s int) int {
 		}
 		m.rr[s] = idx
 		w := warps[idx]
-		act := m.execute(w)
+		m.execute(w)
 		g := w.readyAt
 		if w.done || w.outstanding > 0 || len(w.pendingBlk) > 0 {
 			g = gateBlocked
 		}
 		gates[idx] = g
-		return act
+		return
 	}
 	m.sliceNext[s] = low
-	return 0
 }
 
 // reconverge pops the divergence stack while the warp sits at a
@@ -464,11 +470,10 @@ func branchTaken(op isa.Op, regs [][isa.NumRegs]uint32, mask uint64, rs1, rs2 ui
 	return taken
 }
 
-// execute runs one warp instruction and returns the number of active lanes.
-// The opcode dispatch happens once per warp instruction; every arm runs its
+// execute runs one warp instruction. The opcode dispatch happens once per warp instruction; every arm runs its
 // own inline loop over the active lanes, so the per-lane work is a few
 // straight-line operations with no calls and no table lookups.
-func (m *SM) execute(w *warp) int {
+func (m *SM) execute(w *warp) {
 	w.reconverge()
 	in := &m.ops[w.pc]
 	active := bits.OnesCount64(w.mask)
@@ -487,7 +492,7 @@ func (m *SM) execute(w *warp) int {
 		w.done = true
 		m.running--
 		m.sliceLive[w.slice]--
-		return active
+		return
 	case isa.NOP:
 		w.pc++
 	case isa.CSRR:
@@ -752,7 +757,6 @@ func (m *SM) execute(w *warp) int {
 		w.pc++
 	}
 	w.readyAt = int64(m.ticks) + lat
-	return active
 }
 
 func (m *SM) latencyOf(c isa.Class) int {
@@ -772,20 +776,6 @@ func (m *SM) latencyOf(c isa.Class) int {
 		return l.GlobalHit
 	default:
 		return l.ALU
-	}
-}
-
-func (m *SM) forEachLane(w *warp, f func(lane int)) {
-	for l := 0; l < m.width; l++ {
-		if w.mask&(1<<uint(l)) != 0 {
-			f(l)
-		}
-	}
-}
-
-func (m *SM) setReg(w *warp, lane int, rd uint8, v uint32) {
-	if rd != 0 {
-		w.regs[lane][rd] = v
 	}
 }
 
@@ -938,7 +928,7 @@ func (m *SM) Run(limit sim.Time) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	r := Result{RunStats: rs, SM: m.stats}
+	r := Result{RunStats: rs, SM: m.counters()}
 	if m.l1 != nil {
 		r.Cache = m.l1.Stats()
 	}
@@ -965,16 +955,16 @@ type Result struct {
 // shared-memory crossbar on every live-state access and idles lanes on
 // divergence (Section VI-B's explanation of Figure 4).
 func (m *SM) energy(r Result) energy.Breakdown {
-	ep := m.EP
+	ep, s := m.EP, r.SM
 	var b energy.Breakdown
-	b.CorePJ = float64(m.stats.WarpInsts)*ep.IFetchWarpPJ +
-		float64(m.stats.ThreadInsts)*ep.InstPJ +
-		float64(m.stats.SharedAcc)*ep.SharedMemPJ +
-		float64(m.stats.LaneIdle)*ep.IdlePJ
+	b.CorePJ = float64(s.WarpInsts)*ep.IFetchWarpPJ +
+		float64(s.ThreadInsts)*ep.InstPJ +
+		float64(s.SharedAcc)*ep.SharedMemPJ +
+		float64(s.LaneIdle)*ep.IdlePJ
 	if m.buf != nil {
-		b.CorePJ += float64(m.stats.Transactions) * ep.LocalPJ
+		b.CorePJ += float64(s.Transactions) * ep.LocalPJ
 	} else {
-		b.CorePJ += float64(m.stats.Transactions) * ep.L1LargePJ
+		b.CorePJ += float64(s.Transactions) * ep.L1LargePJ
 	}
 	b.DRAMPJ = ep.DRAM(r.DRAM.RowMisses, r.DRAM.BytesRead)
 	b.LeakPJ = ep.Leakage(m.P.Corelets, float64(r.Time)/1e12)

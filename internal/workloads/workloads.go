@@ -138,9 +138,11 @@ func (b *Benchmark) GoldenStates(streams [][]uint32, records int) [][]uint32 {
 }
 
 // goldenKey identifies one deterministic golden computation; identical keys
-// always yield identical states, so results are safe to memoize.
+// always yield identical states, so results are safe to memoize. The
+// kernel's constants are part of it because one name can carry several:
+// every KMeansBenchWith benchmark is "kmeans", each with its own centroids.
 type goldenKey struct {
-	name             string
+	name, consts     string
 	threads, records int
 	seed             uint64
 }
@@ -203,7 +205,7 @@ func memoPut(k goldenKey, states [][]uint32) {
 // is deterministic, so recomputing it per run is pure waste. Callers
 // receive a fresh copy and may mutate it freely.
 func (b *Benchmark) GoldenStatesStreamed(threads, records int, seed uint64) [][]uint32 {
-	k := goldenKey{name: b.Name(), threads: threads, records: records, seed: seed}
+	k := goldenKey{name: b.Name(), consts: fmt.Sprint(b.K.Consts), threads: threads, records: records, seed: seed}
 	cached, ok := memoGet(k)
 	if !ok {
 		cached = make([][]uint32, threads)

@@ -403,3 +403,20 @@ func TestGoldenMemoConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestGoldenMemoSeparatesCentroidSets: two k-means benchmarks share the
+// name "kmeans" but not their centroids, so after one is memoized the other
+// must still get the reference a fresh fold computes.
+func TestGoldenMemoSeparatesCentroidSets(t *testing.T) {
+	const threads, records, seed = 4, 32, 3000
+	KMeansBench().GoldenStatesStreamed(threads, records, seed)
+	cents := KMeansCentroids()
+	cents[0], cents[1] = cents[1], cents[0]
+	b := KMeansBenchWith(cents)
+	got := b.GoldenStatesStreamed(threads, records, seed)
+	for th := 0; th < threads; th++ {
+		if want := b.GoldenSource(b.Source(seed, th, records)); !reflect.DeepEqual(got[th], want) {
+			t.Fatalf("thread %d: memoized reference %v, a fresh fold gives %v", th, got[th], want)
+		}
+	}
+}

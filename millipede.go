@@ -356,8 +356,9 @@ func KMeansIteration(cfg Config, centroids [][]float32, recordsPerThread int) ([
 	return harness.KMeansIteration(cfg, centroids, recordsPerThread)
 }
 
-// CentroidShift is the mean Euclidean distance between two centroid sets.
-func CentroidShift(a, b [][]float32) float64 { return harness.CentroidShift(a, b) }
+// CentroidShift is the mean Euclidean distance between two centroid sets;
+// sets of different shapes are an error.
+func CentroidShift(a, b [][]float32) (float64, error) { return harness.CentroidShift(a, b) }
 
 // NodeResult is a full multi-processor Millipede node run.
 type NodeResult = node.Result

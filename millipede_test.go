@@ -89,7 +89,7 @@ func TestPublicRunNode(t *testing.T) {
 	}
 }
 
-// TestPublicBadInputsReturnErrors: a negative record count or a malformed
+// TestPublicBadInputsReturnErrors: a record count below one or a malformed
 // centroid set reaching the public API comes back as an error naming the
 // problem; none of them panics (RunNode's would kill the process from a
 // worker goroutine).
@@ -100,8 +100,11 @@ func TestPublicBadInputsReturnErrors(t *testing.T) {
 	cents := workloads.KMeansCentroids()
 	ragged := workloads.KMeansCentroids()
 	ragged[1] = ragged[1][:1]
-	run := func(a string) func() error {
-		return func() error { _, err := RunBenchmark(a, "count", cfg, -5); return err }
+	run := func(a string, records int) func() error {
+		return func() error { _, err := RunBenchmark(a, "count", cfg, records); return err }
+	}
+	runNode := func(records int) func() error {
+		return func() error { _, err := RunNode("count", small, 2, records); return err }
 	}
 	reduced := func(a string) func() error {
 		return func() error { _, _, err := RunReduced(a, "count", cfg, -5); return err }
@@ -113,17 +116,22 @@ func TestPublicBadInputsReturnErrors(t *testing.T) {
 		call func() error
 		want string
 	}{
-		"RunBenchmark millipede":  {run(ArchMillipede), "negative record count"},
-		"RunBenchmark gpgpu":      {run(ArchGPGPU), "negative record count"},
-		"RunReduced millipede":    {reduced(ArchMillipede), "negative record count"},
-		"RunReduced gpgpu":        {reduced(ArchGPGPU), "negative record count"},
-		"RunReduced multicore":    {reduced(ArchMulticore), "negative record count"},
-		"RunNode":                 {func() error { _, err := RunNode("count", small, 2, -5); return err }, "negative record count"},
-		"RateTrace":               {func() error { _, _, err := RateTrace("count", small, -5); return err }, "negative record count"},
-		"KMeansIteration records": {kmeans(cents, -5), "negative record count"},
-		"KMeansIteration nil":     {kmeans(nil, 16), "centroids"},
-		"KMeansIteration wrong K": {kmeans(cents[1:], 16), "centroids"},
-		"KMeansIteration ragged":  {kmeans(ragged, 16), "centroid 1"},
+		"RunBenchmark millipede":      {run(ArchMillipede, -5), "record count -5"},
+		"RunBenchmark gpgpu":          {run(ArchGPGPU, -5), "record count -5"},
+		"RunBenchmark millipede zero": {run(ArchMillipede, 0), "record count 0"},
+		"RunBenchmark gpgpu zero":     {run(ArchGPGPU, 0), "record count 0"},
+		"RunBenchmark multicore zero": {run(ArchMulticore, 0), "record count 0"},
+		"RunReduced millipede":        {reduced(ArchMillipede), "record count -5"},
+		"RunReduced gpgpu":            {reduced(ArchGPGPU), "record count -5"},
+		"RunReduced multicore":        {reduced(ArchMulticore), "record count -5"},
+		"RunNode":                     {runNode(-5), "record count -5"},
+		"RunNode zero":                {runNode(0), "record count 0"},
+		"RateTrace":                   {func() error { _, _, err := RateTrace("count", small, -5); return err }, "record count -5"},
+		"KMeansIteration records":     {kmeans(cents, -5), "record count -5"},
+		"KMeansIteration nil":         {kmeans(nil, 16), "centroids"},
+		"KMeansIteration wrong K":     {kmeans(cents[1:], 16), "centroids"},
+		"KMeansIteration ragged":      {kmeans(ragged, 16), "centroid 1"},
+		"CentroidShift nil":           {func() error { _, err := CentroidShift(cents, nil); return err }, "centroids"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
