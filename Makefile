@@ -36,12 +36,15 @@ test:
 #   TestExperimentRendersPinned — the ablation, warpwidth, residency and
 #     characteristics results, whose runs fan out over the worker pool,
 #     render and encode to a pinned hash at GOMAXPROCS 1 and 4.
-# It also runs a 20 s native fuzz smoke of FuzzAdvanceMatchesLockstep (the
-# corelet run-ahead sweep against the lockstep sweep on generated and BMLA
-# kernels; a failing input lands in internal/corelet/testdata/fuzz and
-# becomes part of the plain test run once committed), and vets and tests the
-# bench/ module (millibench), which imports the processor models and the
-# harness and so breaks when their API does.
+# It also runs two native fuzz smokes: 20 s of FuzzAdvanceMatchesLockstep
+# (the corelet run-ahead sweep against the lockstep sweep on generated and
+# BMLA kernels) and 10 s of FuzzCanonicalID (millid's job decoder: no panic,
+# a memoized body gets the id a fresh canonicalization gives, and the
+# canonical request re-canonicalizes to its own id). A failing input lands
+# in the package's testdata/fuzz and becomes part of the plain test run once
+# committed. Last, it vets and tests the bench/ module (millibench), which
+# imports the processor models and the harness and so breaks when their API
+# does.
 #
 # The harness race suite runs ~10 minutes of simulation wall time on its
 # own (the alloc-free and bit-identity gates each replay full benchmark
@@ -54,6 +57,7 @@ check:
 		./internal/datagen ./internal/workloads \
 		./internal/jobs ./internal/rescache ./internal/server ./internal/router ./internal/sla
 	$(GO) test -run '^$$' -fuzz FuzzAdvanceMatchesLockstep -fuzztime 20s ./internal/corelet
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalID -fuzztime 10s ./internal/server
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

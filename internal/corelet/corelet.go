@@ -382,9 +382,6 @@ func (cl *Cluster) ReadLocal(c int, addr uint32) uint32 {
 	return cl.locals[c*cl.localWords+cl.localIndex(c, addr)]
 }
 
-// LocalWords returns the local memory size in words.
-func (cl *Cluster) LocalWords() int { return cl.localWords }
-
 // localIndex is kept small enough to inline on the LW/SW hot path; the
 // cold fault diagnostics live in localFault (panicking via a deferred-format
 // value keeps the fast path under the inlining budget).

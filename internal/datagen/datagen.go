@@ -297,9 +297,3 @@ func BurstyLabeledFloatPointsSource(r *RNG, n, dims, classes int, pClass0 float6
 		}
 	})
 }
-
-// BurstyLabeledFloatPoints is the one-shot form of
-// BurstyLabeledFloatPointsSource.
-func BurstyLabeledFloatPoints(r *RNG, n, dims, classes int, pClass0 float64, spread float32) []uint32 {
-	return BurstyLabeledFloatPointsSource(r, n, dims, classes, pClass0, spread).Materialize()
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -509,13 +508,4 @@ func TableII() string {
 		}
 	}
 	return b.String()
-}
-
-// SortRowsPaperOrder orders rows in the paper's Table IV order.
-func SortRowsPaperOrder(rows []Row) {
-	order := map[string]int{}
-	for i, b := range workloads.All() {
-		order[b.Name()] = i
-	}
-	sort.Slice(rows, func(i, j int) bool { return order[rows[i].Bench] < order[rows[j].Bench] })
 }

@@ -6,13 +6,18 @@
 // simulation, and the shared store tier makes the result a hit on every
 // other node too.
 //
-// The ring hashes each node under a fixed number of virtual replicas, so
-// membership changes (SetNodes) move only the keys owned by the changed
-// nodes; results for moved keys survive in the shared store. A background
-// probe marks nodes unhealthy on failed /healthz checks (a draining node's
-// 503 counts as unhealthy, which is how a node leaves gracefully: drain it
-// and the router stops routing to it). Requests to a failed node are
-// retried on the ring's successor nodes with bounded backoff.
+// The router remembers the job id of the bodies it has canonicalized (a
+// bounded server.IDMemo), so a repeated body costs a lookup rather than a
+// canonicalization.
+//
+// Membership is fixed when the router is built. The ring hashes each node
+// under a fixed number of virtual replicas, so a router rebuilt over a
+// changed node list moves only the keys owned by the changed nodes; results
+// for moved keys survive in the shared store. A background probe marks
+// nodes unhealthy on failed /healthz checks (a draining node's 503 counts as
+// unhealthy, which is how a node leaves gracefully: drain it and the router
+// stops routing to it). Requests to a failed node are retried on the ring's
+// successor nodes with bounded backoff.
 package router
 
 import (
@@ -77,9 +82,6 @@ func NewRing(nodes []string, replicas int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's membership in construction order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Lookup returns every node in preference order for key: the clockwise
 // owner first, then each distinct successor — the retry order on node
 // failure.
@@ -135,8 +137,11 @@ type Router struct {
 	backoff time.Duration
 	maxTry  int
 
+	ring *Ring // fixed at New
+	// ids remembers the job id of each body that canonicalized.
+	ids server.IDMemo
+
 	mu      sync.Mutex
-	ring    *Ring
 	healthy map[string]bool
 
 	stopOnce sync.Once
@@ -197,11 +202,7 @@ func New(o Options) *Router {
 
 func (rt *Router) registerMetrics() {
 	r := rt.reg
-	r.Gauge("router.nodes", func() float64 {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		return float64(len(rt.ring.nodes))
-	})
+	r.Gauge("router.nodes", func() float64 { return float64(len(rt.ring.nodes)) })
 	r.Gauge("router.nodes_healthy", func() float64 {
 		rt.mu.Lock()
 		defer rt.mu.Unlock()
@@ -224,24 +225,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 // Close stops the health probe loop (idempotent).
 func (rt *Router) Close() { rt.stopOnce.Do(func() { close(rt.stop) }) }
 
-// SetNodes replaces the membership: the ring is rebuilt so only keys owned
-// by changed nodes move (their cached results survive in the shared store
-// tier). Unknown nodes start healthy until the next probe round.
-func (rt *Router) SetNodes(nodes []string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.ring = NewRing(nodes, rt.ring.replicas)
-	healthy := make(map[string]bool, len(nodes))
-	for _, n := range nodes {
-		if h, ok := rt.healthy[n]; ok {
-			healthy[n] = h
-		} else {
-			healthy[n] = true
-		}
-	}
-	rt.healthy = healthy
-}
-
 // Metrics returns the router-level snapshot served at /metrics.
 func (rt *Router) Metrics() metrics.Snapshot { return rt.reg.Snapshot() }
 
@@ -261,15 +244,10 @@ func (rt *Router) healthLoop(every time.Duration) {
 // probe marks each node healthy iff /healthz answers 200 (a draining node's
 // 503 makes it leave the rotation).
 func (rt *Router) probe() {
-	rt.mu.Lock()
-	nodes := rt.ring.Nodes()
-	rt.mu.Unlock()
-	for _, n := range nodes {
+	for _, n := range rt.ring.nodes {
 		ok := rt.probeNode(n)
 		rt.mu.Lock()
-		if _, known := rt.healthy[n]; known { // membership may have changed
-			rt.healthy[n] = ok
-		}
+		rt.healthy[n] = ok
 		rt.mu.Unlock()
 	}
 }
@@ -294,9 +272,9 @@ func (rt *Router) probeNode(node string) bool {
 // preference list with unhealthy nodes demoted to the tail (still tried
 // last — with every node marked down, guessing beats refusing).
 func (rt *Router) prefer(key string) []string {
+	pref := rt.ring.Lookup(key)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	pref := rt.ring.Lookup(key)
 	up := make([]string, 0, len(pref))
 	down := make([]string, 0, 1)
 	for _, n := range pref {
@@ -315,24 +293,24 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", fmt.Sprintf(format, args...))
 }
 
-// handleSubmit canonicalizes the body to recover the deterministic job id
-// and routes by it.
+// handleSubmit recovers the body's deterministic job id, from the memo or by
+// canonicalizing it, and routes by it.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
 		return
 	}
-	id, err := server.CanonicalID(rt.base, body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	id, ok := rt.ids.Lookup(body)
+	if !ok {
+		if id, err = server.CanonicalID(rt.base, body); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		rt.ids.Remember(body, id)
 	}
 	rt.forwardByKey(w, r, id, body)
 }
-
-// maxBodyBytes bounds a routed POST body.
-const maxBodyBytes = 1 << 20
 
 // forwardByKey proxies r to the key's preferred nodes, retrying transport
 // failures and 5xx gateway-ish responses with exponential backoff.
@@ -419,7 +397,6 @@ func (rt *Router) forwardAny(w http.ResponseWriter, r *http.Request) {
 // records, newest first (the per-node listings are already newest-first).
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
-	nodes := rt.ring.Nodes()
 	healthy := make(map[string]bool, len(rt.healthy))
 	for n, h := range rt.healthy {
 		healthy[n] = h
@@ -431,7 +408,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		submittedAt time.Time
 	}
 	var all []rec
-	for _, n := range nodes {
+	for _, n := range rt.ring.nodes {
 		if !healthy[n] {
 			continue
 		}

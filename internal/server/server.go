@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -121,10 +122,11 @@ const (
 	statusFailed  jobStatus = "failed"
 )
 
+// jobRecord is one job's state. The canonical request it runs travels with
+// its queue entry, not on the record, so a finished record holds no Request.
 type jobRecord struct {
 	ID          string
-	Req         Request
-	Timeout     time.Duration
+	Experiment  string
 	Status      jobStatus
 	Error       string
 	Cached      bool // satisfied from the result cache without simulating
@@ -133,6 +135,10 @@ type jobRecord struct {
 	FinishedAt  time.Time
 	Result      []byte
 	seq         uint64 // submission order, for the job listing
+	// statusJSON is the encoded status body of a done record, which never
+	// changes again: rendered once, it answers every later POST hit and
+	// GET /v1/jobs/{id}.
+	statusJSON []byte
 }
 
 // Server implements the millid HTTP API. Create with New; it is an
@@ -145,6 +151,10 @@ type Server struct {
 	run      Runner
 	timeout  time.Duration
 	expNames map[string]bool
+
+	// ids remembers the job id of each body that canonicalized, so a
+	// repeated POST skips decoding, normalize and rescache.Key.
+	ids IDMemo
 
 	mu       sync.Mutex
 	jobsByID map[string]*jobRecord
@@ -222,15 +232,29 @@ func (s *Server) Drain(ctx context.Context) error {
 // Metrics returns the server-level snapshot served at /metrics.
 func (s *Server) Metrics() metrics.Snapshot { return s.reg.Snapshot() }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// encodeJSON is the server's JSON body encoding: indented, newline-terminated.
+func encodeJSON(v any) ([]byte, error) {
 	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	data, err := encodeJSON(v)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, code, data)
+}
+
+// writeBody sends an encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	w.Write(append(data, '\n'))
+	w.Write(data)
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -254,17 +278,31 @@ func CanonicalID(base arch.Params, body []byte) (string, error) {
 			canonNames[e.Name] = true
 		}
 	})
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	var jr jobRequest
-	if err := dec.Decode(&jr); err != nil {
-		return "", fmt.Errorf("bad request body: %w", err)
+	jr, err := decodeJob(body)
+	if err != nil {
+		return "", err
 	}
 	req, _, err := canonicalize(base, canonNames, 0, jr)
 	if err != nil {
 		return "", err
 	}
 	return rescache.Key(req)
+}
+
+// MaxBodyBytes bounds a POST /v1/jobs body, at a worker and at the router;
+// a longer body is answered 413.
+const MaxBodyBytes = 1 << 20
+
+// decodeJob decodes the first JSON value of a POST /v1/jobs body (bytes
+// after it are ignored) into the wire form, rejecting unknown fields.
+func decodeJob(body []byte) (jobRequest, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var jr jobRequest
+	if err := dec.Decode(&jr); err != nil {
+		return jobRequest{}, fmt.Errorf("bad request body: %w", err)
+	}
+	return jr, nil
 }
 
 var (
@@ -383,7 +421,7 @@ type statusBody struct {
 func statusOf(rec *jobRecord) statusBody {
 	b := statusBody{
 		ID:          rec.ID,
-		Experiment:  rec.Req.Experiment,
+		Experiment:  rec.Experiment,
 		Status:      string(rec.Status),
 		Error:       rec.Error,
 		Cached:      rec.Cached,
@@ -403,16 +441,75 @@ func statusOf(rec *jobRecord) statusBody {
 	return b
 }
 
+// replyStatus answers with rec's status body. The caller holds s.mu, which
+// replyStatus releases. A done record's body is encoded once and kept.
+func (s *Server) replyStatus(w http.ResponseWriter, code int, rec *jobRecord) {
+	if rec.Status != statusDone {
+		body := statusOf(rec)
+		s.mu.Unlock()
+		writeJSON(w, code, body)
+		return
+	}
+	data := rec.statusJSON
+	var err error
+	if data == nil {
+		if data, err = encodeJSON(statusOf(rec)); err == nil {
+			// MarshalIndent leaves up to twice the capacity it needs.
+			data = bytes.Clone(data)
+			rec.statusJSON = data
+		}
+	}
+	s.mu.Unlock()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, code, data)
+}
+
+// live returns id's record when the identical request is already queued,
+// running, or done, so a POST of it is deduplicated; a done record's touch
+// counts as a cache hit. It returns nil for an unknown or failed id. The
+// caller holds s.mu.
+func (s *Server) live(id string) *jobRecord {
+	rec, ok := s.jobsByID[id]
+	if !ok || rec.Status == statusFailed {
+		return nil
+	}
+	if rec.Status == statusDone {
+		s.cache.Get(id)
+	}
+	return rec
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining: not accepting jobs")
 		return
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var jr jobRequest
-	if err := dec.Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
+		} else {
+			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		}
+		return
+	}
+	// A body seen before maps straight to its id: a live record answers it
+	// without decoding or canonicalizing. Anything else takes the full path.
+	if id, ok := s.ids.Lookup(body); ok {
+		s.mu.Lock()
+		if rec := s.live(id); rec != nil {
+			s.replyStatus(w, http.StatusOK, rec)
+			return
+		}
+		s.mu.Unlock()
+	}
+	jr, err := decodeJob(body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req, timeout, err := s.normalize(jr)
@@ -425,42 +522,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	s.ids.Remember(body, id)
 
 	s.mu.Lock()
-	rec, exists := s.jobsByID[id]
-	if exists && rec.Status != statusFailed {
-		// Deduplicated: the identical request is already queued, running, or
-		// done. A done record's touch counts as a cache hit.
-		if rec.Status == statusDone {
-			s.cache.Get(id)
-		}
-		body := statusOf(rec)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, body)
+	if rec := s.live(id); rec != nil {
+		s.replyStatus(w, http.StatusOK, rec)
 		return
 	}
 	// New id — or a retry of a failed job (timeouts are operational, not
 	// deterministic, so a failed id may be resubmitted).
 	if cached, ok := s.cache.Get(id); ok {
 		s.seq++
-		rec = &jobRecord{
-			ID: id, Req: req, Status: statusDone, Cached: true,
+		rec := &jobRecord{
+			ID: id, Experiment: req.Experiment, Status: statusDone, Cached: true,
 			SubmittedAt: time.Now(), FinishedAt: time.Now(), Result: cached, seq: s.seq,
 		}
 		s.jobsByID[id] = rec
 		s.done.Add(1)
-		body := statusOf(rec)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, body)
+		s.replyStatus(w, http.StatusOK, rec)
 		return
 	}
 	s.seq++
-	rec = &jobRecord{
-		ID: id, Req: req, Timeout: timeout,
+	rec := &jobRecord{
+		ID: id, Experiment: req.Experiment,
 		Status: statusQueued, SubmittedAt: time.Now(), seq: s.seq,
 	}
 	s.jobsByID[id] = rec
-	err = s.pool.Submit(jobs.Job{ID: id, Timeout: timeout, Run: func(ctx context.Context) { s.execute(ctx, id) }})
+	err = s.pool.Submit(jobs.Job{ID: id, Timeout: timeout, Run: func(ctx context.Context) { s.execute(ctx, id, req) }})
 	if err != nil {
 		delete(s.jobsByID, id)
 		s.mu.Unlock()
@@ -475,13 +563,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	body := statusOf(rec)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, body)
+	s.replyStatus(w, http.StatusAccepted, rec)
 }
 
-// execute runs one accepted job on a pool worker.
-func (s *Server) execute(ctx context.Context, id string) {
+// execute runs one accepted job's canonical request on a pool worker.
+func (s *Server) execute(ctx context.Context, id string, req Request) {
 	s.mu.Lock()
 	rec, ok := s.jobsByID[id]
 	if !ok { // unreachable: records outlive their queue entries
@@ -490,7 +576,6 @@ func (s *Server) execute(ctx context.Context, id string) {
 	}
 	rec.Status = statusRunning
 	rec.StartedAt = time.Now()
-	req := rec.Req
 	s.mu.Unlock()
 
 	// DoContext: if this job's ctx ends while an identical computation is in
@@ -581,12 +666,7 @@ func renderResult(id string, req Request, res harness.ExperimentResult) ([]byte,
 		return nil, err
 	}
 	body.Metrics = mj
-
-	data, err := json.MarshalIndent(body, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	return encodeJSON(body)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -612,15 +692,14 @@ func (s *Server) lookup(id string) (*jobRecord, bool) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rec, ok := s.lookup(r.PathValue("id"))
+	s.mu.Lock()
+	rec, ok := s.jobsByID[r.PathValue("id")]
 	if !ok {
+		s.mu.Unlock()
 		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	s.mu.Lock()
-	body := statusOf(rec)
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, body)
+	s.replyStatus(w, http.StatusOK, rec)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -634,8 +713,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	switch status {
 	case statusDone:
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(result)
+		writeBody(w, http.StatusOK, result)
 	case statusFailed:
 		writeError(w, http.StatusInternalServerError, "job failed: %s", errMsg)
 	default:

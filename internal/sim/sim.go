@@ -107,9 +107,6 @@ func (d *Domain) Name() string { return d.name }
 // Period returns the domain's current clock period in picoseconds.
 func (d *Domain) Period() Time { return d.period }
 
-// Frequency returns the domain's current clock frequency in hertz.
-func (d *Domain) Frequency() float64 { return HzFromPeriod(d.period) }
-
 // Ticks returns the number of rising edges the domain has seen so far.
 func (d *Domain) Ticks() uint64 { return d.ticks }
 
