@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check bench bench-diff bench-diff-noskip trace-demo serve-demo cluster-demo
+.PHONY: all build test check bench ab bench-diff bench-diff-noskip trace-demo serve-demo cluster-demo
 
 all: build
 
@@ -62,6 +62,18 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# ab is the same-host A/B a speed claim rests on: PAIRS alternating pairs of
+# millibench runs of WORKLOAD (seeds SEED, SEED+1, ...), one side built from
+# revision BASE, the other from this checkout. It prints each pair's raw pass
+# median, normalized pass_s and sim_digest equality, then millibench
+# -compare and both sides' medians, quartiles and wins (scripts/ab.sh).
+BASE ?= HEAD
+WORKLOAD ?= mimd
+PAIRS ?= 10
+SEED ?= 1
+ab:
+	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
 # bench-diff is the determinism gate: re-run the 48 arch x bench entries
 # and fail unless every records/sim_cycles/sim_picos/insts field is

@@ -14,14 +14,18 @@
 // per-corelet state (PCs, register files, ready bitmaps, issue cooldowns,
 // local memories) is an entry in a structure-of-arrays image indexed by
 // (corelet, context), swept in corelet order once per cycle. The sweep steps
-// a corelet in lockstep only through instructions that touch shared state or
-// could fault; between them, a corelet with no waiting context runs ahead in
-// one burst (see Advance), which changes no simulated event. The interpreter
-// runs over a predecoded Code image shared read-only by the whole cluster
-// (the paper's one-time code broadcast): each instruction carries its class
-// and issue latency resolved at decode time and the datapath is evaluated in
-// a single dispatch switch, so the steady-state cycle loop performs no table
-// lookups, no per-corelet virtual calls, and no allocations.
+// a corelet in lockstep (interpret) only through instructions that touch
+// shared state or could fault; between them, a corelet with no waiting
+// context runs ahead in one burst (see Advance), which changes no simulated
+// event. Both run over a predecoded Code image shared read-only by the whole
+// cluster (the paper's one-time code broadcast): each instruction carries its
+// class, issue latency and burst opcode resolved at decode time. The burst
+// loop keeps the corelet's scheduler state in locals and evaluates the
+// datapath inline in one dispatch switch, where every instruction it must
+// leave to lockstep decodes to one exit opcode; the lockstep path takes ALU
+// and branch results from the isa datapath the SIMT pipelines share. The
+// steady-state cycle loop performs no per-corelet virtual calls and no
+// allocations.
 package corelet
 
 import (
@@ -90,29 +94,25 @@ type Stats struct {
 }
 
 // dinst is one predecoded instruction: the hot fields of isa.Inst plus the
-// class, issue latency and run-ahead mark resolved at decode time, packed to
+// class, issue latency and burst opcode resolved at decode time, packed to
 // 16 bytes so the fetch is a single shift-indexed load with no dependent
 // table lookups.
 type dinst struct {
 	op           isa.Op
 	class        isa.Class
 	rd, rs1, rs2 uint8
-	mark         uint8
+	bop          isa.Op // the burst loop's opcode: op, or opExit
 	lat          uint16
 	imm          int32
 	_            uint32 // pad to 16 bytes: power-of-two stride for ops[pc]
 }
 
-// Run-ahead marks (dinst.mark). A burst never issues a markLockstep
-// instruction: it touches shared state (LDG, LDS, BAR), halts a context
-// (HALT), or always faults (STG, an unhandled op, CSRR of an unknown CSR), so
-// the lockstep sweep issues it at its own (cycle, corelet) slot. A markLocal
-// instruction (LW, SW) faults only on a bad address, which the burst checks
-// before issuing it.
-const (
-	markLockstep uint8 = 1 << iota
-	markLocal
-)
+// opExit is the burst opcode of every instruction a burst must leave to the
+// lockstep sweep: one that touches shared state (LDG, LDS, BAR), halts a
+// context (HALT), or always faults (STG, an unhandled op, CSRR of an unknown
+// CSR). The burst loop has no arm for it, so its dispatch switch is the only
+// per-instruction stop check; HALT's value keeps that switch dense.
+const opExit = isa.HALT
 
 // Code is a program predecoded against one latency configuration. A
 // processor decodes its kernel once and shares the image read-only across
@@ -128,7 +128,10 @@ type Code struct {
 }
 
 // Decode predecodes prog against lat. The result is immutable and safe to
-// share across corelets and goroutines.
+// share across corelets and goroutines. An instruction that writes no
+// register decodes with rd = 0, so both interpreters retire it through the
+// same unconditional writeback as the datapath ops (NOP keeps its rd: the
+// isa datapath gives it the result 0).
 func Decode(prog *isa.Program, lat Latencies) (*Code, error) {
 	if prog == nil || len(prog.Insts) == 0 {
 		return nil, fmt.Errorf("corelet: empty program")
@@ -148,21 +151,22 @@ func Decode(prog *isa.Program, lat Latencies) (*Code, error) {
 		if l < 0 || l > math.MaxUint16 {
 			return nil, fmt.Errorf("corelet: latency %d for %v out of range", l, in.Op)
 		}
-		var mark uint8
-		switch {
-		case class == isa.ClassGlobalMem, class == isa.ClassHalt, in.Op == isa.BAR,
-			!in.Op.Valid(), in.Op == isa.CSRR && !knownCSR(in.Imm):
-			mark = markLockstep
-		case class == isa.ClassLocalMem:
-			mark = markLocal
+		bop := in.Op
+		if class == isa.ClassGlobalMem || class == isa.ClassHalt || in.Op == isa.BAR ||
+			!in.Op.Valid() || in.Op == isa.CSRR && !knownCSR(in.Imm) {
+			bop = opExit
+		}
+		rd := in.Rd & (isa.NumRegs - 1)
+		if !isa.WritesRd(in.Op) && in.Op != isa.NOP {
+			rd = 0
 		}
 		code.ops[i] = dinst{
 			op:    in.Op,
 			class: class,
-			rd:    in.Rd & (isa.NumRegs - 1),
+			rd:    rd,
 			rs1:   in.Rs1 & (isa.NumRegs - 1),
 			rs2:   in.Rs2 & (isa.NumRegs - 1),
-			mark:  mark,
+			bop:   bop,
 			lat:   uint16(l),
 			imm:   in.Imm,
 		}
@@ -282,7 +286,10 @@ type Cluster struct {
 	numCore     int
 	barrier     BarrierFunc
 	tracers     []Tracer // nil until SetTracer; indexed by corelet
-	st          counters
+	// lockstep keeps every corelet out of the burst loop: a tracer watches,
+	// or a corelet has more contexts than the loop holds (burstContexts).
+	lockstep bool
+	st       counters
 }
 
 // NewCluster builds the corelets of one processor over a shared predecoded
@@ -326,6 +333,7 @@ func NewCluster(cfg Config, code *Code, ports []GlobalPort, read Reader) (*Clust
 		lat:        cfg.Latencies,
 		ctxMask:    uint64(1)<<uint(nk) - 1,
 		numCore:    nc,
+		lockstep:   nk > burstContexts,
 	}
 	for c := 0; c < nc; c++ {
 		cl.cores[c].ready = cl.ctxMask
@@ -362,6 +370,7 @@ func (cl *Cluster) SetTracer(corelet int, t Tracer) {
 		cl.tracers = make([]Tracer, cl.ncore)
 	}
 	cl.tracers[corelet] = t
+	cl.lockstep = true
 }
 
 // Halted reports whether every context of every corelet has executed HALT.
@@ -487,16 +496,17 @@ func (cl *Cluster) Tick() {
 const runAheadHorizon = 4096
 
 // Advance brings corelet c to cycle to and then lets it run ahead. It steps
-// the corelet in lockstep, one cycle at a time, until its cycle reaches to.
-// Then, while no context waits on a memory wake or a barrier release, it
-// keeps issuing with exactly the lockstep scheduler's choices, up to but not
-// including the first cycle whose pick must stay in lockstep: a marked
-// instruction (see markLockstep), a PC outside the program, or an LW/SW that
-// would fault. The burst also stops runAheadHorizon cycles past to.
+// the corelet in lockstep (interpret), one cycle at a time, until its cycle
+// reaches to. Then, while no context waits on a memory wake or a barrier
+// release, it keeps issuing in the burst loop (burst) with exactly the
+// lockstep scheduler's choices, up to but not including the first cycle
+// whose pick must stay in lockstep: an opExit instruction, a PC outside the
+// program, or an LW/SW that would fault. The burst also stops
+// runAheadHorizon cycles past to.
 //
 // A burst is bit-identical to lockstep because only three things change a
 // corelet's state: its own issue, a memory wake and a barrier release, and
-// the last two only target a waiting context. Until its next marked
+// the last two only target a waiting context. Until its next opExit
 // instruction a corelet without waiting contexts touches nothing but its own
 // registers, local memory and scheduler headers, plus the cluster's summed
 // counters; so every port access, barrier arrival and HALT still happens at
@@ -508,19 +518,11 @@ func (cl *Cluster) Advance(c int, to int64) {
 	if hd.cycle >= to {
 		return // still ahead from an earlier burst
 	}
-	cl.interpret(c, to, false)
-	if m := hd.ready; m != cl.ctxMask && (m == 0 || bits.OnesCount64(m)+int(hd.haltCt) != cl.nctx) || cl.tracers != nil {
-		return // a context waits (or all halted), or a tracer watches
+	cl.interpret(c, to)
+	if m := hd.ready; cl.lockstep || m != cl.ctxMask && (m == 0 || bits.OnesCount64(m)+int(hd.haltCt) != cl.nctx) {
+		return // lockstep forced, or a context waits (or all halted)
 	}
-	cl.interpret(c, to+runAheadHorizon, true)
-}
-
-// localOK reports whether LW/SW in, issued by context k of corelet c,
-// addresses an aligned word inside local memory (localIndex would not
-// fault).
-func (cl *Cluster) localOK(c, k int, in *dinst) bool {
-	addr := uint32(int32(cl.regs[(c*cl.nctx+k)*isa.NumRegs+int(in.rs1&31)]) + in.imm)
-	return addr&3 == 0 && int(addr>>2) < cl.localWords
+	cl.burst(c, to+runAheadHorizon)
 }
 
 // NeverTicks is the NextWorkTicks sentinel: every runnable context is
@@ -596,7 +598,7 @@ func (cl *Cluster) skipCore(c int, to int64) {
 
 // tickCore advances a single corelet one cycle in lockstep: it issues at
 // most one instruction, from its next ready context in round-robin order.
-func (cl *Cluster) tickCore(c int) { cl.interpret(c, cl.cores[c].cycle+1, false) }
+func (cl *Cluster) tickCore(c int) { cl.interpret(c, cl.cores[c].cycle+1) }
 
 // pick returns the context corelet c issues from at cycle cyc when its
 // round-robin pointer is rr: the first runnable context with readyAt <= cyc
@@ -663,22 +665,16 @@ func advanceStream(regs *[isa.NumRegs]uint32) {
 	}
 }
 
-// interpret runs corelet c's cycles from hd.cycle+1 up to cycle limit: each
-// cycle issues at most one instruction, from the next ready context in
-// round-robin order, and a cycle with no ready context is idle. In lockstep
-// (burst false) every instruction issues, and a corelet without a runnable
-// context idles straight to limit. A burst (see Advance) runs only while no
-// context waits and stops, without issuing, before the first cycle whose pick
-// must stay in lockstep.
-//
-// The interpreter is inline in the loop, so a burst pays no call per
-// instruction: the datapath, branch conditions, and special cases all live
-// in one switch over the predecoded opcode, each case ending the cycle with
-// continue; class counting and issue latency come from the decoded fields.
-// The cycle and round-robin pointer are committed to the header before the
-// instruction runs, because a port access or barrier arrival may call back
-// into the cluster (a wake) before it returns.
-func (cl *Cluster) interpret(c int, limit int64, burst bool) {
+// interpret steps corelet c in lockstep from hd.cycle+1 up to cycle limit:
+// each cycle issues at most one instruction, from the next ready context in
+// round-robin order, and a cycle with no ready context is idle (a corelet
+// without a runnable context idles straight to limit). It issues every
+// instruction, the shared and faulting ones included, and calls the tracer;
+// ALU/FPU results and branch conditions come from the isa datapath the SIMT
+// pipelines share. The cycle and round-robin pointer are committed to the
+// header before the instruction runs, because a port access or barrier
+// arrival may call back into the cluster (a wake) before it returns.
+func (cl *Cluster) interpret(c int, limit int64) {
 	st := &cl.st
 	hd := &cl.cores[c]
 	n := cl.nctx
@@ -713,14 +709,6 @@ func (cl *Cluster) interpret(c int, limit int64, burst bool) {
 		}
 		ct := &ctxs[k]
 		pc := ct.pc
-		if burst {
-			if uint32(pc) >= uint32(len(ops)) {
-				return // the lockstep sweep raises the bad-PC fault
-			}
-			if in := &ops[pc]; in.mark != 0 && (in.mark&markLockstep != 0 || !cl.localOK(c, k, in)) {
-				return
-			}
-		}
 		in := &ops[pc]
 		hd.cycle = cyc
 		hd.rr = int32(k)
@@ -735,11 +723,9 @@ func (cl *Cluster) interpret(c int, limit int64, burst bool) {
 		regs := (*[isa.NumRegs]uint32)(cl.regs[idx*isa.NumRegs:])
 		a := regs[in.rs1&31]
 		b := regs[in.rs2&31]
+		next, lat := pc+1, int64(in.lat)
 		var v uint32
-
 		switch in.op {
-		case isa.NOP:
-			v = 0
 		case isa.HALT:
 			st.classCounts[in.class&15]++
 			hd.ready &^= 1 << uint(k)
@@ -749,6 +735,179 @@ func (cl *Cluster) interpret(c int, limit int64, burst bool) {
 				cl.haltedCores++
 			}
 			continue
+		case isa.LW:
+			v = cl.locals[c*cl.localWords+cl.localIndex(c, uint32(int32(a)+in.imm))]
+		case isa.SW:
+			cl.locals[c*cl.localWords+cl.localIndex(c, uint32(int32(a)+in.imm))] = b
+		case isa.LDG, isa.LDS:
+			// A global load's timing is resolved before the instruction
+			// retires: on Retry the context stays put and re-issues the same
+			// instruction next cycle; on Pending it sleeps until the memory
+			// system's callback.
+			addr := uint32(int32(a) + in.imm)
+			if in.op == isa.LDS {
+				addr = regs[isa.StreamAddr]
+			}
+			stl := cl.ports[c].Read(k, addr, cl.wakes[idx])
+			switch stl {
+			case Retry:
+				st.retryCycles++
+				continue // PC unchanged; retry next cycle
+			case Pending:
+				hd.ready &^= 1 << uint(k)
+			}
+			if in.rd != 0 {
+				regs[in.rd&31] = cl.read(addr)
+			}
+			if in.op == isa.LDS {
+				advanceStream(regs)
+			}
+			st.classCounts[in.class&15]++
+			ct.pc = next
+			if stl == Done {
+				ct.readyAt = cyc + lat
+			}
+			continue
+		case isa.STG:
+			// The PNM execution model keeps live state in local memory
+			// (Section III-B); a global store in a kernel is a porting bug,
+			// surfaced loudly rather than silently mis-timed.
+			panic("corelet: STG not supported by the PNM kernels (live state must stay in local memory)")
+		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
+			st.condBranches++
+			if taken, _ := isa.EvalBranch(in.op, a, b); taken {
+				st.takenCond++
+				next, lat = in.imm, cl.code.takenLat
+			}
+		case isa.J:
+			next, lat = in.imm, cl.code.takenLat
+		case isa.JAL:
+			v = uint32(pc + 1)
+			next, lat = in.imm, cl.code.takenLat
+		case isa.JR:
+			next, lat = int32(a), cl.code.takenLat
+		case isa.CSRR:
+			v = cl.csr(c, k, in.imm)
+		case isa.BAR:
+			if cl.barrier != nil {
+				st.classCounts[in.class&15]++
+				ct.pc = next
+				hd.ready &^= 1 << uint(k)
+				cl.barrier(cl.wakes[idx])
+				continue
+			}
+			// No coordinator installed: BAR is a no-op.
+		default:
+			var ok bool
+			if v, ok = isa.EvalALUOp(in.op, in.imm, a, b); !ok {
+				panic(fmt.Sprintf("corelet: unhandled op %v at pc %d", in.op, pc))
+			}
+		}
+		// Unconditional writeback: rd==0 means "discard", which the tail models
+		// by letting the store land in r0 and re-zeroing it — two cheap stores
+		// instead of a data-dependent branch on the hot path.
+		regs[in.rd&31] = v
+		regs[0] = 0
+		st.classCounts[in.class&15]++
+		ct.pc, ct.readyAt = next, cyc+lat
+	}
+}
+
+// burstContexts bounds the contexts the burst loop holds in locals. A
+// corelet with more steps in lockstep, which is bit-identical by
+// construction; every processor model runs 4.
+const burstContexts = 8
+
+// burst runs corelet c ahead from hd.cycle+1 up to cycle limit. Advance
+// calls it only while no context waits, so no wake, HALT or barrier release
+// can change the ready mask during the burst: the loop holds it, the cycle,
+// the round-robin pointer, earliest and each context's PC, ready cycle and
+// register file in locals, issues exactly as interpret would (the same
+// picks, idle cycles and counters), and writes the state back when it stops.
+// It stops without issuing before an opExit instruction, a PC outside the
+// program, or an LW/SW whose address is unaligned or beyond local memory, so
+// the lockstep sweep issues each of those at its own (cycle, corelet) slot.
+//
+// The datapath is inline, so a burst pays no call per instruction: the
+// ALU/FPU results, branch conditions and local accesses all live in one
+// switch over the burst opcode, and class counting and issue latency come
+// from the decoded fields.
+func (cl *Cluster) burst(c int, limit int64) {
+	hd := &cl.cores[c]
+	n := cl.nctx
+	ctxs := cl.ctxs[c*n : c*n+n]
+	var (
+		pcs     [burstContexts]int32
+		readyAt [burstContexts]int64
+		files   [burstContexts]*[isa.NumRegs]uint32
+	)
+	for k := range ctxs {
+		pcs[k], readyAt[k] = ctxs[k].pc, ctxs[k].readyAt
+		files[k] = (*[isa.NumRegs]uint32)(cl.regs[(c*n+k)*isa.NumRegs:])
+	}
+	ready := hd.ready
+	full := ready == cl.ctxMask
+	cycle, rr, earliest := hd.cycle, int(hd.rr), hd.earliest
+	ops := cl.ops
+	local := cl.locals[c*cl.localWords : (c+1)*cl.localWords]
+	st := &cl.st
+	takenLat := cl.code.takenLat
+	// Every runnable context still covers issue latency until earliest:
+	// idle up to it, or to limit. Only a failed scan raises earliest again,
+	// and it idles the same way, so the loop need not test it per cycle.
+	if to := min(earliest-1, limit); to > cycle {
+		st.idleCycles += uint64(to - cycle)
+		cycle = to
+	}
+run:
+	for cycle < limit {
+		cyc := cycle + 1
+		// The round-robin successor when every context is runnable and it is
+		// ready; otherwise pick's scan: the first runnable context ready by
+		// cyc in circular order after rr, or idle cycles up to the earliest
+		// ready cycle it records.
+		k := rr + 1
+		if k == n {
+			k = 0
+		}
+		if !full || readyAt[k] > cyc {
+			low := int64(math.MaxInt64)
+			k = -1
+			for i, j := 0, rr; i < n; i++ {
+				if j++; j == n {
+					j = 0
+				}
+				if ready>>uint(j)&1 == 0 {
+					continue
+				}
+				if r := readyAt[j]; r <= cyc {
+					k = j
+					break
+				} else if r < low {
+					low = r
+				}
+			}
+			if k < 0 {
+				earliest = low
+				to := min(low-1, limit) // low > cyc, and limit >= cyc
+				st.idleCycles += uint64(to - cycle)
+				cycle = to
+				continue
+			}
+		}
+		pc := pcs[k]
+		if uint(int(pc)) >= uint(len(ops)) {
+			break // the lockstep sweep raises the bad-PC fault
+		}
+		in := &ops[int(pc)]
+		regs := files[k]
+		a := regs[in.rs1&31]
+		b := regs[in.rs2&31]
+		next, lat := pc+1, int64(in.lat)
+		var v uint32
+		switch in.bop {
+		case isa.NOP:
+			v = 0
 		case isa.ADD:
 			v = a + b
 		case isa.SUB:
@@ -857,118 +1016,74 @@ func (cl *Cluster) interpret(c int, limit int64, burst bool) {
 			v = uint32(int32(isa.F32(a)))
 		case isa.LW:
 			addr := uint32(int32(a) + in.imm)
-			v = cl.locals[c*cl.localWords+cl.localIndex(c, addr)]
+			i := int(addr >> 2)
+			if addr&3 != 0 || i >= len(local) {
+				break run // the lockstep sweep raises the local fault
+			}
+			v = local[i]
 		case isa.SW:
 			addr := uint32(int32(a) + in.imm)
-			cl.locals[c*cl.localWords+cl.localIndex(c, addr)] = b
-			st.classCounts[in.class&15]++
-			ct.pc = pc + 1
-			ct.readyAt = cyc + int64(in.lat)
-			continue
-		case isa.LDG, isa.LDS:
-			// A global load's timing is resolved before the instruction
-			// retires: on Retry the context stays put and re-issues the same
-			// instruction next cycle; on Pending it sleeps until the memory
-			// system's callback.
-			addr := uint32(int32(a) + in.imm)
-			if in.op == isa.LDS {
-				addr = regs[isa.StreamAddr]
+			i := int(addr >> 2)
+			if addr&3 != 0 || i >= len(local) {
+				break run
 			}
-			stl := cl.ports[c].Read(k, addr, cl.wakes[idx])
-			switch stl {
-			case Retry:
-				st.retryCycles++
-				continue // PC unchanged; retry next cycle
-			case Pending:
-				hd.ready &^= 1 << uint(k)
-			}
-			if in.rd != 0 {
-				regs[in.rd&31] = cl.read(addr)
-			}
-			if in.op == isa.LDS {
-				advanceStream(regs)
-			}
-			st.classCounts[in.class&15]++
-			ct.pc = pc + 1
-			if stl == Done {
-				ct.readyAt = cyc + int64(in.lat)
-			}
-			continue
-		case isa.STG:
-			// The PNM execution model keeps live state in local memory
-			// (Section III-B); a global store in a kernel is a porting bug,
-			// surfaced loudly rather than silently mis-timed.
-			panic("corelet: STG not supported by the PNM kernels (live state must stay in local memory)")
-		case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
+			local[i] = b
+		case isa.BEQ:
 			st.condBranches++
-			var taken bool
-			switch in.op {
-			case isa.BEQ:
-				taken = a == b
-			case isa.BNE:
-				taken = a != b
-			case isa.BLT:
-				taken = int32(a) < int32(b)
-			case isa.BGE:
-				taken = int32(a) >= int32(b)
-			case isa.BLTU:
-				taken = a < b
-			default: // BGEU
-				taken = a >= b
-			}
-			st.classCounts[in.class&15]++
-			if taken {
+			if a == b {
 				st.takenCond++
-				ct.pc = in.imm
-				ct.readyAt = cyc + cl.code.takenLat
-				continue
+				next, lat = in.imm, takenLat
 			}
-			ct.pc = pc + 1
-			ct.readyAt = cyc + int64(in.lat)
-			continue
+		case isa.BNE:
+			st.condBranches++
+			if a != b {
+				st.takenCond++
+				next, lat = in.imm, takenLat
+			}
+		case isa.BLT:
+			st.condBranches++
+			if int32(a) < int32(b) {
+				st.takenCond++
+				next, lat = in.imm, takenLat
+			}
+		case isa.BGE:
+			st.condBranches++
+			if int32(a) >= int32(b) {
+				st.takenCond++
+				next, lat = in.imm, takenLat
+			}
+		case isa.BLTU:
+			st.condBranches++
+			if a < b {
+				st.takenCond++
+				next, lat = in.imm, takenLat
+			}
+		case isa.BGEU:
+			st.condBranches++
+			if a >= b {
+				st.takenCond++
+				next, lat = in.imm, takenLat
+			}
 		case isa.J:
-			st.classCounts[in.class&15]++
-			ct.pc = in.imm
-			ct.readyAt = cyc + cl.code.takenLat
-			continue
+			next, lat = in.imm, takenLat
 		case isa.JAL:
-			st.classCounts[in.class&15]++
-			if in.rd != 0 {
-				regs[in.rd&31] = uint32(pc + 1)
-			}
-			ct.pc = in.imm
-			ct.readyAt = cyc + cl.code.takenLat
-			continue
+			v = uint32(pc + 1)
+			next, lat = in.imm, takenLat
 		case isa.JR:
-			st.classCounts[in.class&15]++
-			ct.pc = int32(a)
-			ct.readyAt = cyc + cl.code.takenLat
-			continue
+			next, lat = int32(a), takenLat
 		case isa.CSRR:
 			v = cl.csr(c, k, in.imm)
-		case isa.BAR:
-			if cl.barrier != nil {
-				st.classCounts[in.class&15]++
-				ct.pc = pc + 1
-				hd.ready &^= 1 << uint(k)
-				cl.barrier(cl.wakes[idx])
-				continue
-			}
-			// No coordinator installed: BAR is a no-op that writes no register.
-			st.classCounts[in.class&15]++
-			ct.pc = pc + 1
-			ct.readyAt = cyc + int64(in.lat)
-			continue
-		default:
-			panic(fmt.Sprintf("corelet: unhandled op %v at pc %d", in.op, pc))
+		default: // opExit
+			break run
 		}
-		// Unconditional writeback: rd==0 means "discard", which the tail models
-		// by letting the store land in r0 and re-zeroing it — two cheap stores
-		// instead of a data-dependent branch on the hot path.
 		regs[in.rd&31] = v
 		regs[0] = 0
 		st.classCounts[in.class&15]++
-		ct.pc = pc + 1
-		ct.readyAt = cyc + int64(in.lat)
+		pcs[k], readyAt[k] = next, cyc+lat
+		cycle, rr = cyc, k
+	}
+	hd.cycle, hd.rr, hd.earliest = cycle, int32(rr), earliest
+	for k := range ctxs {
+		ctxs[k].pc, ctxs[k].readyAt = pcs[k], readyAt[k]
 	}
 }

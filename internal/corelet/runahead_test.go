@@ -407,9 +407,11 @@ func hashRead(addr uint32) uint32 {
 // barrier coordinators, and requires the same port accesses (cycle,
 // corelet, context, address), barrier arrivals, statistics and final state.
 // kernel selects the program: 0 generates one from seed, 1..8 is a BMLA
-// kernel over its real dataset. The run-ahead cluster also skips dead ticks
-// at random cycles through NextWorkTicks/SkipTicks, and so does a second
-// lockstep twin, so both skip paths are checked against the per-tick sweep.
+// kernel over its real dataset. Geometries span 1-40 corelets and 1-12
+// contexts, both sides of the burst loop's context bound. The run-ahead
+// cluster also skips dead ticks at random cycles through
+// NextWorkTicks/SkipTicks, and so does a second lockstep twin, so both skip
+// paths are checked against the per-tick sweep.
 func FuzzAdvanceMatchesLockstep(f *testing.F) {
 	for i := range workloads.All() {
 		f.Add(uint64(i+1), uint8(31), uint8(3), uint8(i+1)) // 32x4
@@ -417,8 +419,18 @@ func FuzzAdvanceMatchesLockstep(f *testing.F) {
 	for _, s := range []uint64{1, 2, 3, 7, 42, 99, 1234, 5555, 31337, 271828} {
 		f.Add(s, uint8(s%40), uint8(s/7%8), uint8(0))
 	}
+	// Generated kernels on 4 corelets whose bursts both pick past a
+	// round-robin successor still covering a DIV or FDIV latency and start
+	// with a sibling halted and none waiting (a ready mask short of full):
+	// seeds 198 and 92 at the default 4 contexts, 21 at 2. Seed 198 also
+	// runs at 12 contexts, past burstContexts, where every corelet steps in
+	// lockstep.
+	f.Add(uint64(198), uint8(3), uint8(3), uint8(0))
+	f.Add(uint64(92), uint8(3), uint8(3), uint8(0))
+	f.Add(uint64(21), uint8(3), uint8(1), uint8(0))
+	f.Add(uint64(198), uint8(3), uint8(11), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, corelets, contexts, kernel uint8) {
-		nc, nk := int(corelets)%40+1, int(contexts)%8+1
+		nc, nk := int(corelets)%40+1, int(contexts)%12+1
 		var fc fuzzCase
 		if k := int(kernel) % 9; k > 0 {
 			fc = bmlaCase(t, workloads.All()[k-1], nc, nk, 2, seed)
@@ -472,6 +484,14 @@ func runToFault(cl *Cluster, tick func(*Cluster), port *parkPort, wakeAt int64) 
 // the same fault as the lockstep sweep at the same cycle — corelet 0's —
 // for every kind of fault corelet 1 meets; and with corelet 0 left parked,
 // both must surface corelet 1's fault at cycle 50.
+//
+// At 2 and 4 contexts per corelet, corelet 1's contexts fork: its lead
+// context (context 1, which issues first) runs the stretch and the faulting
+// tail while its siblings spin in registers, runnable throughout. Each
+// context issues once every nk cycles with no bubble, so a lead issues its
+// i-th instruction at cycle nk*i+1: corelet 0's lead faults at cycle 39+nk,
+// and corelet 1's with its siblings ready to issue, so the burst loop must
+// stop exactly there, leaving lockstep the faulting context's pick.
 func TestRunAheadFaultsMatchLockstep(t *testing.T) {
 	const beyond = 1 << 20 // past any local memory
 	cases := []struct {
@@ -504,30 +524,56 @@ func TestRunAheadFaultsMatchLockstep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			contexts := 1
 			run := func(tick func(*Cluster), wakeAt int64) (any, int64) {
 				port := &parkPort{}
-				cl, err := NewCluster(Config{Corelets: 2, Contexts: 1, LocalBytes: 4096,
+				cl, err := NewCluster(Config{Corelets: 2, Contexts: contexts, LocalBytes: 4096,
 					Latencies: DefaultLatencies()}, code, []GlobalPort{port, port}, hashRead)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return runToFault(cl, tick, port, wakeAt)
 			}
+			check := func(wakeAt, at int64, corelet int) {
+				t.Helper()
+				want, wantAt := run(lockstepTick, wakeAt)
+				got, gotAt := run((*Cluster).Tick, wakeAt)
+				if wantAt != at || want == nil {
+					t.Fatalf("%d contexts: lockstep fault %v at cycle %d, want one at cycle %d", contexts, want, wantAt, at)
+				}
+				if lf, ok := want.(localFault); corelet == 0 && (!ok || lf.c != 0) {
+					t.Fatalf("%d contexts: lockstep fault %v does not name corelet 0", contexts, want)
+				}
+				if !reflect.DeepEqual(got, want) || gotAt != wantAt {
+					t.Fatalf("%d contexts: run-ahead fault %v at cycle %d, lockstep %v at cycle %d", contexts, got, gotAt, want, wantAt)
+				}
+			}
 			for _, c := range []struct {
 				wakeAt, at int64
 				corelet    int
 			}{{39, 40, 0}, {-1, 50, 1}} {
-				want, wantAt := run(lockstepTick, c.wakeAt)
-				got, gotAt := run((*Cluster).Tick, c.wakeAt)
-				if wantAt != c.at || want == nil {
-					t.Fatalf("lockstep fault %v at cycle %d, want one at cycle %d", want, wantAt, c.at)
-				}
-				if lf, ok := want.(localFault); c.corelet == 0 && (!ok || lf.c != 0) {
-					t.Fatalf("lockstep fault %v does not name corelet 0", want)
-				}
-				if !reflect.DeepEqual(got, want) || gotAt != wantAt {
-					t.Fatalf("run-ahead fault %v at cycle %d, lockstep %v at cycle %d", got, gotAt, want, wantAt)
-				}
+				check(c.wakeAt, c.at, c.corelet)
+			}
+			fork := append(append([]isa.Inst{}, prog[:6]...),
+				isa.Inst{Op: isa.CSRR, Rd: 6, Imm: isa.CSRContextID}, // 6: corelet 1
+				isa.Inst{Op: isa.ADDI, Rd: 7, Imm: 1},
+				isa.Inst{Op: isa.BEQ, Rs1: 6, Rs2: 7, Imm: 11}, // the lead runs on
+				isa.Inst{Op: isa.ADDI, Rd: 5, Rs1: 5, Imm: 1},  // 9: siblings spin
+				isa.Inst{Op: isa.J, Imm: 9})
+			if code, err = Decode(&isa.Program{Name: tc.name, Insts: append(fork, prog[6:]...)}, DefaultLatencies()); err != nil {
+				t.Fatal(err)
+			}
+			// Corelet 1's lead faults at the issue-th instruction it issues
+			// (from 0): the tail's last, or after a JR the fetch that
+			// follows it.
+			issue := int64(5 + tc.stretch + len(tc.tail) - 1)
+			if tc.tail[len(tc.tail)-1].Op == isa.JR {
+				issue++
+			}
+			for _, contexts = range []int{2, 4} {
+				nk := int64(contexts)
+				check(39, 39+nk, 0)
+				check(-1, nk*issue+1, 1)
 			}
 		})
 	}

@@ -105,7 +105,11 @@ func TestParamDescriptorShape(t *testing.T) {
 // descriptor names must be rejected. The simulation backend is a fake, so
 // accepted jobs cost nothing.
 func TestParamDescriptorsMatchDecoder(t *testing.T) {
+	// Every accepted post queues a distinct job, back to back, so the queue
+	// must hold all of them (about a hundred): a default 8-slot queue
+	// answers 429 whenever a pool worker falls briefly behind.
 	_, ts := newTestServer(t, server.Options{
+		QueueCapacity: 1024,
 		Runner: func(ctx context.Context, req server.Request) (harness.ExperimentResult, error) {
 			return harness.ExperimentResult{Text: "ok"}, nil
 		},

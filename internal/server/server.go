@@ -241,6 +241,19 @@ func encodeJSON(v any) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
+// encodeKept is encodeJSON for a body the server keeps: MarshalIndent
+// leaves up to twice the capacity it needs, so the body is copied to a slice
+// of its exact length.
+func encodeKept(v any) ([]byte, error) {
+	data, err := encodeJSON(v)
+	if err != nil {
+		return nil, err
+	}
+	kept := make([]byte, len(data))
+	copy(kept, data)
+	return kept, nil
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	data, err := encodeJSON(v)
 	if err != nil {
@@ -453,9 +466,7 @@ func (s *Server) replyStatus(w http.ResponseWriter, code int, rec *jobRecord) {
 	data := rec.statusJSON
 	var err error
 	if data == nil {
-		if data, err = encodeJSON(statusOf(rec)); err == nil {
-			// MarshalIndent leaves up to twice the capacity it needs.
-			data = bytes.Clone(data)
+		if data, err = encodeKept(statusOf(rec)); err == nil {
 			rec.statusJSON = data
 		}
 	}
@@ -640,7 +651,9 @@ type resultBody struct {
 	Metrics    json.RawMessage `json:"metrics"`
 }
 
-// renderResult builds the stored result bytes for a completed experiment.
+// renderResult builds the stored result bytes for a completed experiment:
+// one slice that the result cache, the shared store and the job record all
+// keep.
 func renderResult(id string, req Request, res harness.ExperimentResult) ([]byte, error) {
 	body := resultBody{ID: id, Experiment: req.Experiment, Request: req, Text: res.Text, Render: res.Render()}
 	var rows, series int
@@ -666,7 +679,7 @@ func renderResult(id string, req Request, res harness.ExperimentResult) ([]byte,
 		return nil, err
 	}
 	body.Metrics = mj
-	return encodeJSON(body)
+	return encodeKept(body)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

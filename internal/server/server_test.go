@@ -615,6 +615,50 @@ func TestSharedTierClusterHit(t *testing.T) {
 	}
 }
 
+// keptTier is a shared tier that keeps the last value put.
+type keptTier struct {
+	mu    sync.Mutex
+	value []byte
+}
+
+func (k *keptTier) Get(context.Context, string) ([]byte, string, bool, error) {
+	return nil, "", false, nil
+}
+
+func (k *keptTier) Put(_ context.Context, _ string, value []byte, _ string) error {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.value = value
+	return nil
+}
+
+// TestStoredResultHasNoSpareCapacity: the result body a job stores, the one
+// slice its record, the result cache and the shared store all keep, is
+// exactly as long as its capacity, and it is the body GET serves.
+func TestStoredResultHasNoSpareCapacity(t *testing.T) {
+	tier := &keptTier{}
+	_, ts := newTestServer(t, server.Options{Workers: 1, Shared: tier, Runner: func(ctx context.Context, req server.Request) (harness.ExperimentResult, error) {
+		return harness.ExperimentResult{Text: strings.Repeat("row\n", 100)}, nil
+	}})
+	code, sb := postJob(t, ts, map[string]any{"experiment": "ablation", "scale": 0.04})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST: HTTP %d", code)
+	}
+	if st := waitStatus(t, ts, sb.ID); st.Status != "done" {
+		t.Fatalf("job: %+v", st)
+	}
+	_, body := doJSON(t, "GET", ts.URL+"/v1/jobs/"+sb.ID+"/result", nil)
+	tier.mu.Lock()
+	kept := tier.value
+	tier.mu.Unlock()
+	if !bytes.Equal(kept, body) {
+		t.Fatalf("stored result differs from the served one:\n%s\nvs\n%s", kept, body)
+	}
+	if len(kept) != cap(kept) {
+		t.Errorf("stored result: len %d, cap %d, want no spare capacity", len(kept), cap(kept))
+	}
+}
+
 // TestPanickingSimulationFailsJob: a panic inside the simulation becomes a
 // failed job record, and the server (its worker recovered) keeps serving.
 func TestPanickingSimulationFailsJob(t *testing.T) {
