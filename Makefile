@@ -104,7 +104,10 @@ serve-demo:
 # worker nodes mounting it, and the consistent-hash router in front. It
 # verifies the cluster-wide caching guarantee (an identical request POSTed
 # to both workers simulates exactly once — the second node hits the store
-# tier) and runs a short milliload SLA report through the router.
+# tier), that the router answers a repeated POST and result GET of the
+# finished job itself (the same bytes, router.cache_hits >= 2, no worker's
+# server.cache_hits moving), and runs a short milliload SLA report through
+# the router.
 cluster-demo:
 	bash scripts/cluster_demo.sh
 

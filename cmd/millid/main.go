@@ -17,7 +17,8 @@
 //	-role=router            the front tier: consistent-hash routing of jobs
 //	                        across -nodes, with health checks and bounded
 //	                        retry — identical requests always land on the
-//	                        same worker
+//	                        same worker; it answers repeats of finished jobs
+//	                        (POST, status, result) itself
 //
 // Single-daemon quick start:
 //
@@ -68,7 +69,7 @@ func main() {
 	// Worker flags.
 	workers := flag.Int("workers", 0, "worker: simulation worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "worker: job queue capacity (0 = 4x workers)")
-	cacheEntries := flag.Int("cache", 256, "worker: local result cache entries (LRU)")
+	cacheEntries := flag.Int("cache", 256, "worker: local result cache entries (LRU), also the finished job records kept")
 	storeURL := flag.String("store", "", "worker: base URL of the shared result store (millid -role=store); empty = local cache only")
 	timeout := flag.Duration("timeout", 15*time.Minute, "worker: default per-job timeout (0 = none; requests may set timeout_ms)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "worker: how long to wait for in-flight jobs on shutdown before cancelling them")

@@ -19,7 +19,11 @@
 //
 // -target may be a worker or the cluster router; -metrics names the worker
 // /metrics endpoints to aggregate for the histogram/cache columns (default:
-// the target itself).
+// the target itself). The router's own hits (router.cache_hits, finished
+// jobs it answers without a worker) are read from -target's /metrics. With
+// a router as -target, -metrics must name the workers: the router's
+// counters alone cannot tell hits from misses, so hit_rate and shared_frac
+// then read 0.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,6 +44,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/router"
 	"repro/internal/stats"
 )
 
@@ -95,8 +101,9 @@ func main() {
 	fmt.Print(fig.Render())
 	fmt.Println("p50/p99 are client-observed submit-to-done latencies; hist_* come from the")
 	fmt.Println("worker jobs histograms (power-of-two-ms buckets, upper-edge estimate);")
-	fmt.Println("hit_rate combines the local LRU and the shared store tier, shared_frac is")
-	fmt.Println("the shared tier's share of all hits; sims and errors are step totals.")
+	fmt.Println("hit_rate counts hits at every tier (the router's finished-job store, the")
+	fmt.Println("local LRU, the shared store), shared_frac is the shared store's share of")
+	fmt.Println("all hits; sims and errors are step totals.")
 	os.Exit(0)
 }
 
@@ -116,7 +123,7 @@ func (g *loadgen) body(i int) []byte {
 
 // runStep offers `rate` req/s for d and reports one SLA row.
 func (g *loadgen) runStep(rate float64, d time.Duration, rng *datagen.RNG) (harness.Row, error) {
-	before, err := g.aggregate()
+	before, err := g.snapshot()
 	if err != nil {
 		return harness.Row{}, fmt.Errorf("scraping metrics: %w", err)
 	}
@@ -153,23 +160,13 @@ func (g *loadgen) runStep(rate float64, d time.Duration, rng *datagen.RNG) (harn
 	wg.Wait()
 	elapsed := time.Since(t0).Seconds()
 
-	after, err := g.aggregate()
+	after, err := g.snapshot()
 	if err != nil {
 		return harness.Row{}, fmt.Errorf("scraping metrics: %w", err)
 	}
 	delta := metrics.Diff(after, before)
 
-	hits := delta.Value("server.cache_hits")
-	shared := delta.Value("server.cache_shared_hits")
-	misses := delta.Value("server.cache_misses")
-	hitRate := 0.0
-	if t := hits + shared + misses; t > 0 {
-		hitRate = (hits + shared) / t
-	}
-	sharedFrac := 0.0
-	if hits+shared > 0 {
-		sharedFrac = shared / (hits + shared)
-	}
+	hitRate, sharedFrac := router.HitRates(delta)
 	waitH, _ := delta.Get("server.job_wait_ms")
 	runH, _ := delta.Get("server.job_run_ms")
 	histLat := metrics.AddBuckets(waitH.Buckets, runH.Buckets)
@@ -236,12 +233,26 @@ func (g *loadgen) oneRequest(variant int) (float64, error) {
 	return float64(time.Since(t0)) / float64(time.Millisecond), nil
 }
 
+// snapshot sums the -metrics endpoints' samples and, when -target is not
+// one of them, adds -target's router.cache_hits.
+func (g *loadgen) snapshot() (metrics.Snapshot, error) {
+	out, err := g.aggregate(g.scrape)
+	if err != nil || slices.Contains(g.scrape, g.target) {
+		return out, err
+	}
+	front, err := g.aggregate([]string{g.target})
+	if hits, ok := front.Get("router.cache_hits"); ok {
+		out.Put(hits)
+	}
+	return out, err
+}
+
 // aggregate scrapes every metrics endpoint and sums the samples (counters
 // and histograms add across nodes; gauges add too, which is the right
 // fan-in for depths and entry counts).
-func (g *loadgen) aggregate() (metrics.Snapshot, error) {
+func (g *loadgen) aggregate(urls []string) (metrics.Snapshot, error) {
 	var out metrics.Snapshot
-	for _, base := range g.scrape {
+	for _, base := range urls {
 		resp, err := g.client.Get(base + "/metrics")
 		if err != nil {
 			return out, err

@@ -8,7 +8,14 @@
 //
 // The router remembers the job id of the bodies it has canonicalized (a
 // bounded server.IDMemo), so a repeated body costs a lookup rather than a
-// canonicalization.
+// canonicalization. It also keeps the result bodies of finished jobs, and
+// then their done status bodies, as their workers sent them (two bounded
+// rescache.Cache LRUs keyed by job id): a finished job's result never
+// changes, and a done record's status body is encoded once, so the router
+// answers a repeated POST, status GET or result GET of a finished job
+// itself, with no ring lookup and no worker hop, even while that job's
+// worker is down. It answers a status only while it also keeps the result,
+// so a "done" from the router is backed by a result the router keeps.
 //
 // Membership is fixed when the router is built. The ring hashes each node
 // under a fixed number of virtual replicas, so a router rebuilt over a
@@ -37,6 +44,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/metrics"
+	"repro/internal/rescache"
 	"repro/internal/server"
 )
 
@@ -140,6 +148,10 @@ type Router struct {
 	ring *Ring // fixed at New
 	// ids remembers the job id of each body that canonicalized.
 	ids server.IDMemo
+	// results keeps, by job id, the result bodies the workers sent, and
+	// statuses the done status bodies of jobs whose result it kept, at most
+	// server.MemoEntries of each.
+	statuses, results *rescache.Cache
 
 	mu      sync.Mutex
 	healthy map[string]bool
@@ -147,7 +159,7 @@ type Router struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 
-	routed, retries, failovers, proxyErrors atomic.Uint64
+	routed, retries, failovers, proxyErrors, cacheHits atomic.Uint64
 
 	reg *metrics.Registry
 	mux *http.ServeMux
@@ -167,14 +179,16 @@ func New(o Options) *Router {
 		o.MaxAttempts = len(o.Nodes)
 	}
 	rt := &Router{
-		base:    o.Base,
-		client:  &http.Client{Transport: o.Transport},
-		backoff: o.RetryBackoff,
-		maxTry:  o.MaxAttempts,
-		ring:    NewRing(o.Nodes, o.Replicas),
-		healthy: make(map[string]bool, len(o.Nodes)),
-		stop:    make(chan struct{}),
-		mux:     http.NewServeMux(),
+		base:     o.Base,
+		client:   &http.Client{Transport: o.Transport},
+		backoff:  o.RetryBackoff,
+		maxTry:   o.MaxAttempts,
+		ring:     NewRing(o.Nodes, o.Replicas),
+		statuses: rescache.New(server.MemoEntries),
+		results:  rescache.New(server.MemoEntries),
+		healthy:  make(map[string]bool, len(o.Nodes)),
+		stop:     make(chan struct{}),
+		mux:      http.NewServeMux(),
 	}
 	for _, n := range o.Nodes {
 		rt.healthy[n] = true
@@ -185,11 +199,9 @@ func New(o Options) *Router {
 	rt.mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
 	rt.mux.HandleFunc("GET /v1/jobs", rt.handleList)
 	rt.mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		rt.forwardByKey(w, r, r.PathValue("id"), nil)
+		rt.answerStatus(w, r, r.PathValue("id"), nil)
 	})
-	rt.mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		rt.forwardByKey(w, r, r.PathValue("id"), nil)
-	})
+	rt.mux.HandleFunc("GET /v1/jobs/{id}/result", rt.answerResult)
 	rt.mux.HandleFunc("GET /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
 		rt.forwardAny(w, r)
 	})
@@ -218,6 +230,7 @@ func (rt *Router) registerMetrics() {
 	r.Counter("router.retries", rt.retries.Load)
 	r.Counter("router.failovers", rt.failovers.Load)
 	r.Counter("router.proxy_errors", rt.proxyErrors.Load)
+	r.Counter("router.cache_hits", rt.cacheHits.Load)
 }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
@@ -227,6 +240,27 @@ func (rt *Router) Close() { rt.stopOnce.Do(func() { close(rt.stop) }) }
 
 // Metrics returns the router-level snapshot served at /metrics.
 func (rt *Router) Metrics() metrics.Snapshot { return rt.reg.Snapshot() }
+
+// HitRates reads a cluster's cache behaviour from a snapshot that sums the
+// router's and the workers' counters. hitRate is the hits at any tier (the
+// router's finished-job store, a worker's local LRU, the shared store) over
+// those hits plus the workers' misses; sharedFrac is the shared store's
+// share of all hits. Both are 0 before any lookup, and when s holds no
+// worker counters: the router's alone cannot tell how many lookups missed.
+func HitRates(s metrics.Snapshot) (hitRate, sharedFrac float64) {
+	if _, ok := s.Get("server.cache_misses"); !ok {
+		return 0, 0
+	}
+	hits := s.Value("router.cache_hits") + s.Value("server.cache_hits")
+	shared := s.Value("server.cache_shared_hits")
+	if t := hits + shared + s.Value("server.cache_misses"); t > 0 {
+		hitRate = (hits + shared) / t
+	}
+	if hits+shared > 0 {
+		sharedFrac = shared / (hits + shared)
+	}
+	return hitRate, sharedFrac
+}
 
 func (rt *Router) healthLoop(every time.Duration) {
 	t := time.NewTicker(every)
@@ -309,12 +343,60 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		rt.ids.Remember(body, id)
 	}
-	rt.forwardByKey(w, r, id, body)
+	rt.answerStatus(w, r, id, body)
+}
+
+// answerStatus answers a POST or status GET of job id. While the router
+// keeps the job's result, it replies with the kept done status, or forwards
+// r and keeps the worker's reply if that says done; otherwise it forwards r
+// and keeps nothing.
+func (rt *Router) answerStatus(w http.ResponseWriter, r *http.Request, id string, body []byte) {
+	if _, ok := rt.results.Get(id); !ok {
+		rt.forwardByKey(w, r, id, body, nil)
+		return
+	}
+	if data, ok := rt.statuses.Get(id); ok {
+		rt.replyKept(w, data)
+		return
+	}
+	rt.forwardByKey(w, r, id, body, func(data []byte) {
+		if doneStatus(data, id) {
+			keepCopy(rt.statuses, id, data)
+		}
+	})
+}
+
+// answerResult answers a result GET with the kept result body, or forwards
+// it and keeps the worker's reply.
+func (rt *Router) answerResult(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	if data, ok := rt.results.Get(id); ok {
+		rt.replyKept(w, data)
+		return
+	}
+	rt.forwardByKey(w, r, id, nil, func(data []byte) { keepCopy(rt.results, id, data) })
+}
+
+// replyKept writes a kept body as the worker did: 200, application/json.
+func (rt *Router) replyKept(w http.ResponseWriter, data []byte) {
+	rt.cacheHits.Add(1)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(data)
+}
+
+// keepCopy keeps an exact-length copy of data under id: the relayed body's
+// buffer has spare capacity.
+func keepCopy(c *rescache.Cache, id string, data []byte) {
+	kept := make([]byte, len(data))
+	copy(kept, data)
+	c.Put(id, kept)
 }
 
 // forwardByKey proxies r to the key's preferred nodes, retrying transport
-// failures and 5xx gateway-ish responses with exponential backoff.
-func (rt *Router) forwardByKey(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+// failures and 5xx gateway-ish responses with exponential backoff. A non-nil
+// keep is handed a relayed 200 reply (see tryNode).
+func (rt *Router) forwardByKey(w http.ResponseWriter, r *http.Request, key string, body []byte, keep func([]byte)) {
 	nodes := rt.prefer(key)
 	if len(nodes) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no worker nodes configured")
@@ -335,7 +417,7 @@ func (rt *Router) forwardByKey(w http.ResponseWriter, r *http.Request, key strin
 			case <-time.After(rt.backoff << (attempt - 1)):
 			}
 		}
-		ok, err := rt.tryNode(w, r, node, body)
+		ok, err := rt.tryNode(w, r, node, body, keep)
 		if ok {
 			if attempt > 0 {
 				rt.failovers.Add(1)
@@ -352,8 +434,9 @@ func (rt *Router) forwardByKey(w http.ResponseWriter, r *http.Request, key strin
 // to the client (including application errors like 429 — those are the
 // node's answer, not a routing failure). Transport errors and 503s (a
 // draining or overloaded node that another replica can serve) report
-// done=false so the caller fails over.
-func (rt *Router) tryNode(w http.ResponseWriter, r *http.Request, node string, body []byte) (done bool, err error) {
+// done=false so the caller fails over. With a non-nil keep, a 200 JSON
+// reply to a GET or POST is buffered, relayed, then handed to keep.
+func (rt *Router) tryNode(w http.ResponseWriter, r *http.Request, node string, body []byte, keep func([]byte)) (done bool, err error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -374,23 +457,42 @@ func (rt *Router) tryNode(w http.ResponseWriter, r *http.Request, node string, b
 		io.Copy(io.Discard, resp.Body)
 		return false, fmt.Errorf("%s: %s", node, resp.Status)
 	}
-	relay(w, resp)
+	if keep == nil || r.Method == http.MethodHead || resp.StatusCode != http.StatusOK ||
+		resp.Header.Get("Content-Type") != "application/json" {
+		relay(w, resp, resp.Body)
+		return true, nil
+	}
+	data, err := io.ReadAll(resp.Body)
+	relay(w, resp, bytes.NewReader(data))
+	if err == nil {
+		keep(data)
+	}
 	return true, nil
 }
 
-func relay(w http.ResponseWriter, resp *http.Response) {
+// doneStatus reports whether a job status body is job id's and says done.
+func doneStatus(data []byte, id string) bool {
+	var st struct {
+		ID     string `json:"id"`
+		Status string `json:"status"`
+	}
+	return json.Unmarshal(data, &st) == nil && st.ID == id && st.Status == "done"
+}
+
+// relay sends resp's status code, Content-Type and Retry-After, then body.
+func relay(w http.ResponseWriter, resp *http.Response, body io.Reader) {
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	io.Copy(w, body)
 }
 
 // forwardAny proxies r to the first node that answers (health-ordered).
 func (rt *Router) forwardAny(w http.ResponseWriter, r *http.Request) {
-	rt.forwardByKey(w, r, "any:"+r.URL.Path, nil)
+	rt.forwardByKey(w, r, "any:"+r.URL.Path, nil, nil)
 }
 
 // handleList fans GET /v1/jobs out to every healthy node and merges the

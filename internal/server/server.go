@@ -99,7 +99,8 @@ type Options struct {
 	Workers int
 	// QueueCapacity bounds the job queue; 0 means 4x workers.
 	QueueCapacity int
-	// CacheEntries bounds the result cache; 0 means 256.
+	// CacheEntries bounds the result cache, and the finished (done or
+	// failed) job records, which drop oldest first; 0 means 256.
 	CacheEntries int
 	// DefaultTimeout bounds jobs that do not set timeout_ms; 0 means no
 	// default bound.
@@ -159,6 +160,11 @@ type Server struct {
 	mu       sync.Mutex
 	jobsByID map[string]*jobRecord
 	seq      uint64
+	// finished holds the records that finished, at most maxFinished
+	// (CacheEntries); once it is full, finished[next] is the oldest.
+	finished    []*jobRecord
+	maxFinished int
+	next        int
 
 	draining atomic.Bool
 	sims     atomic.Uint64 // simulations actually executed (cache misses)
@@ -177,14 +183,15 @@ func New(base arch.Params, o Options) *Server {
 		cacheEntries = 256
 	}
 	s := &Server{
-		base:     base,
-		pool:     jobs.New(o.Workers, o.QueueCapacity),
-		cache:    rescache.New(cacheEntries),
-		run:      o.Runner,
-		timeout:  o.DefaultTimeout,
-		expNames: map[string]bool{},
-		jobsByID: map[string]*jobRecord{},
-		mux:      http.NewServeMux(),
+		base:        base,
+		pool:        jobs.New(o.Workers, o.QueueCapacity),
+		cache:       rescache.New(cacheEntries),
+		run:         o.Runner,
+		timeout:     o.DefaultTimeout,
+		expNames:    map[string]bool{},
+		jobsByID:    map[string]*jobRecord{},
+		maxFinished: cacheEntries,
+		mux:         http.NewServeMux(),
 	}
 	if o.Shared != nil {
 		s.cache.SetShared(o.Shared)
@@ -478,6 +485,21 @@ func (s *Server) replyStatus(w http.ResponseWriter, code int, rec *jobRecord) {
 	writeBody(w, code, data)
 }
 
+// retire notes that rec has finished. Once CacheEntries finished records
+// are held it drops the oldest, unless a resubmission has replaced it; a
+// later POST of a dropped id takes the full path. The caller holds s.mu.
+func (s *Server) retire(rec *jobRecord) {
+	if len(s.finished) < s.maxFinished {
+		s.finished = append(s.finished, rec)
+		return
+	}
+	if old := s.finished[s.next]; s.jobsByID[old.ID] == old {
+		delete(s.jobsByID, old.ID)
+	}
+	s.finished[s.next] = rec
+	s.next = (s.next + 1) % len(s.finished)
+}
+
 // live returns id's record when the identical request is already queued,
 // running, or done, so a POST of it is deduplicated; a done record's touch
 // counts as a cache hit. It returns nil for an unknown or failed id. The
@@ -549,6 +571,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			SubmittedAt: time.Now(), FinishedAt: time.Now(), Result: cached, seq: s.seq,
 		}
 		s.jobsByID[id] = rec
+		s.retire(rec)
 		s.done.Add(1)
 		s.replyStatus(w, http.StatusOK, rec)
 		return
@@ -611,6 +634,7 @@ func (s *Server) execute(ctx context.Context, id string, req Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rec.FinishedAt = time.Now()
+	s.retire(rec)
 	if err != nil {
 		rec.Status = statusFailed
 		rec.Error = err.Error()

@@ -686,3 +686,68 @@ func TestPanickingSimulationFailsJob(t *testing.T) {
 		t.Fatalf("job after panic: %+v, want done", st)
 	}
 }
+
+// TestFinishedRecordsBounded: a worker keeps at most CacheEntries finished
+// records, oldest dropped first, never drops a running one, and answers a
+// POST of a dropped id through the full path: here a second simulation,
+// since the result cache has dropped it too.
+func TestFinishedRecordsBounded(t *testing.T) {
+	release := make(chan struct{})
+	run := func(ctx context.Context, req server.Request) (harness.ExperimentResult, error) {
+		if req.Experiment == "fig3" {
+			<-release
+		}
+		return quickRun(ctx, req)
+	}
+	const bound, jobs = 8, 40
+	_, ts := newTestServer(t, server.Options{Workers: 2, CacheEntries: bound, Runner: run})
+	code, held := postJob(t, ts, map[string]any{"experiment": "fig3"})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST of the held job: HTTP %d", code)
+	}
+	defer close(release)
+	var first string
+	for i := 0; i < jobs; i++ {
+		code, sb := postJob(t, ts, map[string]any{"experiment": "ablation", "seed": i + 1})
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %d: HTTP %d", i, code)
+		}
+		if st := waitStatus(t, ts, sb.ID); st.Status != "done" {
+			t.Fatalf("job %d: %+v", i, st)
+		}
+		if i == 0 {
+			first = sb.ID
+		}
+	}
+	_, data := doJSON(t, "GET", ts.URL+"/v1/jobs", nil)
+	var recs []statusBody
+	if err := json.Unmarshal(data, &recs); err != nil {
+		t.Fatal(err)
+	}
+	finished := 0
+	for _, r := range recs {
+		if r.Status == "done" || r.Status == "failed" {
+			finished++
+		}
+	}
+	if finished > bound {
+		t.Errorf("%d distinct finished jobs left %d finished records, want at most %d", jobs, finished, bound)
+	}
+	if _, data := doJSON(t, "GET", ts.URL+"/v1/jobs/"+held.ID, nil); !strings.Contains(string(data), `"status": "running"`) {
+		t.Errorf("held job after %d others finished: %s, want it still running", jobs, data)
+	}
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/"+first, nil); code != http.StatusNotFound {
+		t.Errorf("GET of the oldest finished job: HTTP %d, want 404 (dropped)", code)
+	}
+	sims := metricValue(t, ts, "server.sims_run")
+	code, again := postJob(t, ts, map[string]any{"experiment": "ablation", "seed": 1})
+	if code != http.StatusAccepted || again.ID != first {
+		t.Fatalf("POST of a dropped id: HTTP %d id %s, want 202 and id %s", code, again.ID, first)
+	}
+	if st := waitStatus(t, ts, first); st.Status != "done" {
+		t.Fatalf("re-run of a dropped id: %+v", st)
+	}
+	if got := metricValue(t, ts, "server.sims_run"); got != sims+1 {
+		t.Errorf("server.sims_run = %g after a dropped id's POST, want %g", got, sims+1)
+	}
+}

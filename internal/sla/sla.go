@@ -98,7 +98,7 @@ func run(ctx context.Context, p arch.Params, o harness.ExpOptions) (harness.Expe
 		if err := ctx.Err(); err != nil {
 			return harness.ExperimentResult{}, err
 		}
-		row, err := loadStep(client, srvA, srvB, clients, datagen.NewRNG(harness.Seed+uint64(step)), scaleOf)
+		row, err := loadStep(client, rt, srvA, srvB, clients, datagen.NewRNG(harness.Seed+uint64(step)), scaleOf)
 		if err != nil {
 			return harness.ExperimentResult{}, err
 		}
@@ -106,16 +106,20 @@ func run(ctx context.Context, p arch.Params, o harness.ExpOptions) (harness.Expe
 	}
 	text := "SLA study: each row offers " + fmt.Sprint(requestsPer) + " jobs from that many closed-loop clients\n" +
 		"through the consistent-hash router; identical requests land on one node, so the\n" +
-		"cluster simulates each variant once and serves the rest from the local LRU or\n" +
-		"the shared store tier (hit_rate counts both, shared_frac is the store's share).\n" +
+		"cluster simulates each variant once and serves the rest from the router's\n" +
+		"finished-job store, a worker's local LRU or the shared store tier (hit_rate\n" +
+		"counts hits at all three, shared_frac is the shared store's share of them).\n" +
 		"p50/p99 are client submit-to-done; hist_p99 is the workers' jobs-histogram\n" +
 		"upper-edge estimate (wait+run, power-of-two-ms buckets).\n"
 	return harness.ExperimentResult{Figures: []*harness.Figure{fig}, Text: text}, nil
 }
 
 // loadStep runs one closed-loop offered-load step and returns its SLA row.
-func loadStep(client *http.Client, srvA, srvB *server.Server, clients int, rng *datagen.RNG, scaleOf func(int) float64) (harness.Row, error) {
-	before := metrics.Sum(srvA.Metrics(), srvB.Metrics())
+func loadStep(client *http.Client, rt *router.Router, srvA, srvB *server.Server, clients int, rng *datagen.RNG, scaleOf func(int) float64) (harness.Row, error) {
+	cluster := func() metrics.Snapshot {
+		return metrics.Sum(rt.Metrics(), metrics.Sum(srvA.Metrics(), srvB.Metrics()))
+	}
+	before := cluster()
 
 	// Pre-draw the variant sequence so the request mix does not depend on
 	// goroutine interleaving.
@@ -156,17 +160,8 @@ func loadStep(client *http.Client, srvA, srvB *server.Server, clients int, rng *
 		return harness.Row{}, firstErr
 	}
 
-	delta := metrics.Diff(metrics.Sum(srvA.Metrics(), srvB.Metrics()), before)
-	hits := delta.Value("server.cache_hits")
-	shared := delta.Value("server.cache_shared_hits")
-	misses := delta.Value("server.cache_misses")
-	hitRate, sharedFrac := 0.0, 0.0
-	if t := hits + shared + misses; t > 0 {
-		hitRate = (hits + shared) / t
-	}
-	if hits+shared > 0 {
-		sharedFrac = shared / (hits + shared)
-	}
+	delta := metrics.Diff(cluster(), before)
+	hitRate, sharedFrac := router.HitRates(delta)
 	waitH, _ := delta.Get("server.job_wait_ms")
 	runH, _ := delta.Get("server.job_run_ms")
 

@@ -7,8 +7,10 @@
 # to both worker nodes simulates exactly once — the second node serves it
 # from the store tier (sims_run 0, cache_shared_hits 1 on /metrics) with a
 # byte-identical result body. The router must route the same request to one
-# node, and milliload must emit an SLA report with nonzero latency
-# percentiles against the cluster. Everything is torn down with SIGTERM.
+# node, answer its repeat (POST and result GET) from its finished-job store
+# with the same bytes and without a worker hop, and milliload must emit an
+# SLA report with nonzero latency percentiles against the cluster.
+# Everything is torn down with SIGTERM.
 # Used by `make cluster-demo` and the CI smoke step.
 set -euo pipefail
 
@@ -108,11 +110,30 @@ R_B="$(curl -fsS "$NODE_B/v1/jobs/$ID_B/result")"
 echo "cluster-demo: store-tier hit verified (1 simulation, byte-identical bodies on both nodes)"
 
 # --- Router consistency: the same request through the front tier dedups. ---
-RT_ID="$(curl -fsS -d "$REQ" "$ROUTER/v1/jobs" | sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p')"
+curl -fsS -o "$DIR/rt_post" -d "$REQ" "$ROUTER/v1/jobs"
+RT_ID="$(sed -n 's/.*"id": "\([0-9a-f]*\)".*/\1/p' "$DIR/rt_post")"
 [[ "$RT_ID" == "$ID_A" ]] || fail "router assigned a different id: $RT_ID vs $ID_A"
-curl -fsS "$ROUTER/v1/jobs/$RT_ID/result" | grep -q 'Barrier ablation' \
-  || fail "router-proxied result lacks the ablation figure"
+curl -fsS -o "$DIR/rt_result" "$ROUTER/v1/jobs/$RT_ID/result"
+grep -q 'Barrier ablation' "$DIR/rt_result" || fail "router-proxied result lacks the ablation figure"
 echo "cluster-demo: router routes the identical request onto the same job"
+
+# --- Router store: the repeat is answered by the router, not a worker. ---
+# The router keeps a done status once it keeps the job's result: this status
+# GET reaches the worker, and the router keeps its reply.
+curl -fsS -o /dev/null "$ROUTER/v1/jobs/$RT_ID"
+HITS_A="$(metric_value "$NODE_A" server.cache_hits)"
+HITS_B="$(metric_value "$NODE_B" server.cache_hits)"
+CODE="$(curl -sS -o "$DIR/rt_post2" -w '%{http_code}' -d "$REQ" "$ROUTER/v1/jobs")"
+[[ "$CODE" == "200" ]] || fail "repeated POST through the router: HTTP $CODE"
+cmp -s "$DIR/rt_post" "$DIR/rt_post2" || fail "repeated POST body differs from the router's first reply"
+CODE="$(curl -sS -o "$DIR/rt_result2" -w '%{http_code}' "$ROUTER/v1/jobs/$RT_ID/result")"
+[[ "$CODE" == "200" ]] || fail "repeated result GET through the router: HTTP $CODE"
+cmp -s "$DIR/rt_result" "$DIR/rt_result2" || fail "repeated result body differs from the router's first reply"
+RT_HITS="$(metric_value "$ROUTER" router.cache_hits)"
+awk -v h="$RT_HITS" 'BEGIN { exit !(h >= 2) }' || fail "router.cache_hits=$RT_HITS after the repeat, want >= 2"
+[[ "$(metric_value "$NODE_A" server.cache_hits)" == "$HITS_A" && "$(metric_value "$NODE_B" server.cache_hits)" == "$HITS_B" ]] \
+  || fail "the repeat reached a worker (server.cache_hits A $HITS_A -> $(metric_value "$NODE_A" server.cache_hits), B $HITS_B -> $(metric_value "$NODE_B" server.cache_hits))"
+echo "cluster-demo: router answered the repeat from its store (router.cache_hits=$RT_HITS, worker hits unchanged)"
 
 # --- milliload smoke: a short SLA report against the cluster. ---
 SLA="$("$DIR/milliload" -target "$ROUTER" -metrics "$NODE_A,$NODE_B" \
