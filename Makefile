@@ -33,9 +33,14 @@ test:
 #   TestRunResultsPinned — every architecture's full result (timing, energy,
 #     memory and stack counters, metrics, reduced output) matches a pinned
 #     hash;
-#   TestExperimentRendersPinned — the ablation, warpwidth, residency and
-#     characteristics results, whose runs fan out over the worker pool,
-#     render and encode to a pinned hash at GOMAXPROCS 1 and 4.
+#   TestExperimentRendersPinned — every registered experiment but the
+#     wall-clock sla study renders and encodes to a pinned hash at
+#     GOMAXPROCS 1 and 4;
+#   TestRunNodePinned — the measured multi-processor node's makespan,
+#     per-processor times, energy, instructions and reduced output match a
+#     pinned hash;
+#   TestBarrierAblationSharesCountReference — the barrier ablation's barrier
+#     programs verify against count's golden reference (one memo entry).
 # It also runs two native fuzz smokes: 20 s of FuzzAdvanceMatchesLockstep
 # (the corelet run-ahead sweep against the lockstep sweep on generated and
 # BMLA kernels) and 10 s of FuzzCanonicalID (millid's job decoder: no panic,

@@ -5,10 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/core"
-	"repro/internal/energy"
-	"repro/internal/kernels"
-	"repro/internal/layout"
 	"repro/internal/workloads"
 )
 
@@ -26,85 +22,29 @@ import (
 //
 // Values are performance normalized to Millipede (higher is better).
 func BarrierAblation(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figure, error) {
-	if seed == 0 {
-		seed = Seed
-	}
 	b := workloads.CountBench()
 	records := RecordsFor(b, scale)
 	f := &Figure{
 		Name:   "Barrier ablation (count): performance normalized to Millipede's hardware flow control",
 		Series: []string{"millipede", "no-flow-control", "barrier-every-1", "barrier-every-512"},
 	}
-	// One run per series, in series order; the four are independent, so
-	// they share the worker pool and each writes only its own slot.
-	run := func(a string) (int64, error) {
-		r, _, err := Run(a, b, p, records, Options{Seed: seed})
-		return int64(r.Time), err
-	}
-	barrier := func(interval int) (int64, error) {
-		r, err := runBarrierVariant(p, b, interval, records, seed)
-		return int64(r.Time), err
-	}
-	times := make([]int64, len(f.Series))
-	err := runJobs(ctx, len(times), func(i int) (err error) {
-		switch i {
-		case 0:
-			times[i], err = run(ArchMillipede)
-		case 1:
-			times[i], err = run(ArchMillipedeNoFC)
-		case 2:
-			times[i], err = barrier(1)
-		case 3:
-			times[i], err = barrier(512)
-		}
-		return err
+	// One run per series, in series order. The barrier programs verify
+	// against count's golden reference: a barrier must not change results.
+	res, err := runSpecs(ctx, []spec{
+		{ArchMillipede, b, p, records, seed},
+		{ArchMillipedeNoFC, b, p, records, seed},
+		{ArchMillipedeNoFC, workloads.CountBarrierBench(1), p, records, seed},
+		{ArchMillipedeNoFC, workloads.CountBarrierBench(512), p, records, seed},
 	})
 	if err != nil {
 		return nil, err
 	}
 	row := Row{Bench: "count", Values: map[string]float64{}}
 	for i, s := range f.Series {
-		row.Values[s] = float64(times[0]) / float64(times[i])
+		row.Values[s] = float64(res[0].Time) / float64(res[i].Time)
 	}
 	f.Rows = append(f.Rows, row)
 	return f, nil
-}
-
-// runBarrierVariant runs count-with-barriers on a no-flow-control Millipede
-// processor and verifies the result against count's golden reference (the
-// barrier must not change results).
-func runBarrierVariant(p arch.Params, b *workloads.Benchmark, interval, records int, seed uint64) (arch.RunStats, error) {
-	q := p
-	q.FlowControl = false
-	k := kernels.CountBarrier(interval)
-	lay := layout.Layout{
-		RowBytes: q.DRAM.RowBytes, Corelets: q.Corelets, Contexts: q.Contexts,
-		Interleave: layout.Slab,
-	}
-	if err := lay.Validate(); err != nil {
-		return arch.RunStats{}, err
-	}
-	sl, err := kernels.LocalState(k, q.LocalBytes, q.Contexts)
-	if err != nil {
-		return arch.RunStats{}, err
-	}
-	args := kernels.ArgsAndConsts(k, lay.Walk(), sl, records)
-	pr, err := core.NewProcessor(q, energy.Default(), core.Launch{
-		Prog: k.Prog, Interleave: layout.Slab,
-		Sources: b.Sources(q.Threads(), records, seed), Args: args,
-	})
-	if err != nil {
-		return arch.RunStats{}, err
-	}
-	r, err := pr.Run(0)
-	if err != nil {
-		return arch.RunStats{}, err
-	}
-	got := workloads.ExtractStates(b, sl, lay, pr.ReadState)
-	if err := b.Verify(got, q.Threads(), records, seed); err != nil {
-		return arch.RunStats{}, fmt.Errorf("harness: barrier variant changed results: %w", err)
-	}
-	return r.RunStats, nil
 }
 
 // WarpWidthSweep examines Variable Warp Sizing's design space: the paper
@@ -122,28 +62,13 @@ func WarpWidthSweep(ctx context.Context, p arch.Params, scale float64, seed uint
 	benches := []*workloads.Benchmark{
 		workloads.CountBench(), workloads.SampleBench(), workloads.NBayesBench(), workloads.ClassifyBench(),
 	}
-	// Run i is benchmark i/len(widths) at width widths[i%len(widths)].
-	times := make([]float64, len(benches)*len(widths))
-	err := runJobs(ctx, len(times), func(i int) error {
-		b := benches[i/len(widths)]
-		q := p
-		q.VWSWarpWidth = widths[i%len(widths)]
-		r, _, err := Run(ArchVWS, b, q, RecordsFor(b, scale), Options{Seed: seed})
-		times[i] = float64(r.Time)
-		return err
+	// The last width, 32, is the base.
+	err := f.sweep(ctx, ArchVWS, benches, p, scale, seed, len(widths)-1, func(q *arch.Params, i int) {
+		q.VWSWarpWidth = widths[i]
 	})
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
-		t := times[bi*len(widths) : (bi+1)*len(widths)]
-		row := Row{Bench: b.Name(), Values: map[string]float64{}}
-		for wi, w := range widths {
-			row.Values[fmt.Sprintf("%d-wide", w)] = t[len(t)-1] / t[wi] // the last width is 32
-		}
-		f.Rows = append(f.Rows, row)
-	}
-	f.geomeans()
 	return f, nil
 }
 
@@ -164,11 +89,11 @@ func ResidencyStudy(ctx context.Context, p arch.Params, hostBandwidthGBs float64
 		Series: []string{"kernel-us", "copyin-us", "copyin/kernel", "reuses-for-10pct"},
 	}
 	benches := []*workloads.Benchmark{workloads.CountBench(), workloads.NBayesBench(), workloads.GDABench()}
-	res := make([]RunResult, len(benches))
-	err := runJobs(ctx, len(res), func(i int) (err error) {
-		res[i], _, err = Run(ArchMillipede, benches[i], p, RecordsFor(benches[i], scale), Options{Seed: seed})
-		return err
-	})
+	specs := make([]spec, len(benches))
+	for i, b := range benches {
+		specs[i] = spec{ArchMillipede, b, p, RecordsFor(b, scale), seed}
+	}
+	res, err := runSpecs(ctx, specs)
 	if err != nil {
 		return nil, err
 	}

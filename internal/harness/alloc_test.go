@@ -68,8 +68,8 @@ func TestCycleLoopAllocFree(t *testing.T) {
 	}
 	for _, interval := range []int{1, 512} {
 		allocFree(t, fmt.Sprintf("barrier-every-%d/count", interval), func() (uint64, uint64, error) {
-			rs, err := runBarrierVariant(arch.Default(), workloads.CountBench(), interval, records, Seed)
-			return rs.Allocs, rs.AllocBytes, err
+			r, _, err := Run(ArchMillipedeNoFC, workloads.CountBarrierBench(interval), arch.Default(), records, Options{})
+			return r.CycleAllocs, r.CycleBytes, err
 		})
 	}
 }

@@ -37,14 +37,7 @@ var capacityModes = []string{
 // up to the HWCache set granule so all three modes see identical capacity.
 func CapacityStudy(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figure, string, error) {
 	benches := workloads.All()
-	type job struct {
-		b          *workloads.Benchmark
-		ratio      float64
-		mode       string
-		records    int
-		stackBytes int
-	}
-	var jobsL []job
+	var specs []spec
 	// The set granule keeps hwcache geometry exact (an integral number of
 	// full sets) and is shared by all modes so capacities stay comparable.
 	granule := stack.DefaultAssoc * p.DRAM.RowBytes
@@ -63,24 +56,13 @@ func CapacityStudy(ctx context.Context, p arch.Params, scale float64, seed uint6
 				sb = granule
 			}
 			for _, mode := range capacityModes {
-				jobsL = append(jobsL, job{b: b, ratio: ratio, mode: mode,
-					records: records, stackBytes: sb})
+				q := p
+				q.StackMode, q.StackBytes = mode, sb
+				specs = append(specs, spec{ArchMillipede, b, q, records, seed})
 			}
 		}
 	}
-	res := make([]RunResult, len(jobsL))
-	err := runJobs(ctx, len(jobsL), func(i int) error {
-		j := jobsL[i]
-		q := p
-		q.StackMode = j.mode
-		q.StackBytes = j.stackBytes
-		r, _, err := Run(ArchMillipede, j.b, q, j.records, Options{Seed: seed})
-		if err != nil {
-			return fmt.Errorf("capacity %s/%s@%gx: %w", j.mode, j.b.Name(), j.ratio, err)
-		}
-		res[i] = r
-		return nil
-	})
+	res, err := runSpecs(ctx, specs)
 	if err != nil {
 		return nil, "", err
 	}
@@ -89,29 +71,29 @@ func CapacityStudy(ctx context.Context, p arch.Params, scale float64, seed uint6
 		Name:   "Capacity study: stack as memory / hwcache / memcache (Mwords/s, rows are bench@dataset-to-stack ratio)",
 		Series: capacityModes,
 	}
-	rowOf := map[string]int{}
 	perRatio := map[float64]map[string][]float64{} // ratio -> mode -> Mwords/s
 	hitOf := map[float64]map[string][]float64{}    // ratio -> mode -> hit rate
-	for i, j := range jobsL {
-		label := fmt.Sprintf("%s@%gx", j.b.Name(), j.ratio)
-		ri, ok := rowOf[label]
-		if !ok {
-			ri = len(fig.Rows)
-			rowOf[label] = ri
-			fig.Rows = append(fig.Rows, Row{Bench: label, Values: map[string]float64{}})
+	for _, b := range benches {
+		for _, ratio := range CapacityRatios {
+			row := Row{Bench: fmt.Sprintf("%s@%gx", b.Name(), ratio), Values: map[string]float64{}}
+			if perRatio[ratio] == nil {
+				perRatio[ratio] = map[string][]float64{}
+				hitOf[ratio] = map[string][]float64{}
+			}
+			for _, mode := range capacityModes {
+				r := res[0]
+				res = res[1:]
+				mw := float64(r.Words) / (float64(r.Time) / 1e12) / 1e6
+				row.Values[mode] = mw
+				perRatio[ratio][mode] = append(perRatio[ratio][mode], mw)
+				hr := 1.0 // pass-through: everything is stack-resident
+				if s := r.Stack; s.Mode != "" {
+					hr = s.HitRate()
+				}
+				hitOf[ratio][mode] = append(hitOf[ratio][mode], hr)
+			}
+			fig.Rows = append(fig.Rows, row)
 		}
-		mw := float64(res[i].Words) / (float64(res[i].Time) / 1e12) / 1e6
-		fig.Rows[ri].Values[j.mode] = mw
-		if perRatio[j.ratio] == nil {
-			perRatio[j.ratio] = map[string][]float64{}
-			hitOf[j.ratio] = map[string][]float64{}
-		}
-		perRatio[j.ratio][j.mode] = append(perRatio[j.ratio][j.mode], mw)
-		hr := 1.0 // pass-through: everything is stack-resident
-		if s := res[i].Stack; s.Mode != "" {
-			hr = s.HitRate()
-		}
-		hitOf[j.ratio][j.mode] = append(hitOf[j.ratio][j.mode], hr)
 	}
 	fig.geomeans()
 

@@ -72,6 +72,10 @@ func CharacteristicsStudy(ctx context.Context, p arch.Params, scale float64, see
 // of the threads' single-word keys is matched against a shared table of
 // tableWords words (exceeding local memory). The result is verified against
 // a host-side reference join.
+//
+// It is the one launch built outside Run: the join has its own kernel, a
+// table region after the stream and a host-side reference join instead of
+// a benchmark's golden MapReduce state.
 func RunJoin(p arch.Params, tableWords, records int, seed uint64) (core.Result, uint64, error) {
 	if seed == 0 {
 		seed = Seed

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/isa"
 	"repro/internal/mapreduce"
-	"repro/internal/node"
 	"repro/internal/workloads"
 )
 
@@ -57,7 +56,7 @@ func clusterMap(ctx context.Context, b *workloads.Benchmark, shards, threads, re
 	}
 	err := runJobs(ctx, shards*threads, func(g int) error {
 		si, t := g/threads, g%threads
-		states[si][t] = b.GoldenSource(b.Source(node.ShardSeed(seed, si), t, records))
+		states[si][t] = b.GoldenSource(b.Source(ShardSeed(seed, si), t, records))
 		return nil
 	})
 	if err != nil {
@@ -173,23 +172,18 @@ func ClusterStudy(ctx context.Context, p arch.Params, scale float64, seed uint64
 		// the default input size, on that node's first data shard. The rate
 		// is simulated input words per simulated second — deterministic,
 		// unlike wall-clock throughput.
-		rates := make([]float64, nodes)
-		err = runJobs(ctx, nodes, func(ni int) error {
-			res, _, err := Run(ArchMillipede, b, p, simRecords,
-				Options{Seed: node.ShardSeed(seed, ni*procs)})
-			if err != nil {
-				return fmt.Errorf("cluster %s node %d: %w", name, ni, err)
-			}
-			rates[ni] = float64(res.Words) / (float64(res.Time) / 1e12)
-			return nil
-		})
+		specs := make([]spec, nodes)
+		for ni := range specs {
+			specs[ni] = spec{ArchMillipede, b, p, simRecords, ShardSeed(seed, ni*procs)}
+		}
+		res, err := runSpecs(ctx, specs)
 		if err != nil {
 			return nil, "", err
 		}
-		minRate := rates[0]
-		for _, r := range rates[1:] {
-			if r < minRate {
-				minRate = r
+		var minRate float64
+		for ni, r := range res {
+			if rate := float64(r.Words) / (float64(r.Time) / 1e12); ni == 0 || rate < minRate {
+				minRate = rate
 			}
 		}
 
@@ -201,7 +195,7 @@ func ClusterStudy(ctx context.Context, p arch.Params, scale float64, seed uint64
 
 		// Spot-check on live data: thread 0 of node 0 recomputed from a
 		// one-shot materialized stream must match the chunked fold.
-		oneShot := b.GoldenThread(b.Source(node.ShardSeed(seed, 0), 0, perThread).Materialize(), perThread)
+		oneShot := b.GoldenThread(b.Source(ShardSeed(seed, 0), 0, perThread).Materialize(), perThread)
 		for i, v := range oneShot {
 			if states[0][0][i] != v {
 				return nil, "", fmt.Errorf("cluster %s: chunked fold diverged from one-shot at word %d", name, i)

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/energy"
-	"repro/internal/node"
 	"repro/internal/workloads"
 )
 
@@ -42,7 +40,7 @@ type ExpOptions struct {
 	TimelineEvery uint64
 	// Seed overrides the dataset seed of every run the experiment performs;
 	// zero means the canonical Seed. Shard- and thread-level seeds are
-	// derived from it (datagen.ThreadSeed, node.ShardSeed), so any base
+	// derived from it (datagen.ThreadSeed, ShardSeed), so any base
 	// value yields a valid, reproducible dataset.
 	Seed uint64
 	// ClusterNodes and ClusterProcs set the cluster experiment's geometry:
@@ -166,14 +164,7 @@ var experiments = []expEntry{
 		}},
 	{info("node", "measured 8-processor node run (count benchmark)", "seed"),
 		func(ctx context.Context, p arch.Params, o ExpOptions) (ExperimentResult, error) {
-			if err := ctx.Err(); err != nil {
-				return ExperimentResult{}, err
-			}
-			b, err := workloads.ByName("count")
-			if err != nil {
-				return ExperimentResult{}, err
-			}
-			r, err := node.Run(p, energy.Default(), b, 8, 1024, o.seed())
+			r, err := RunNode(ctx, p, workloads.CountBench(), 8, 1024, o.seed())
 			if err != nil {
 				return ExperimentResult{}, err
 			}

@@ -121,40 +121,84 @@ func runJobs(ctx context.Context, n int, fn func(i int) error) error {
 	return nil
 }
 
-// runAll executes the given architectures over all benchmarks at the given
-// record scale, returning results[arch][bench].
-func runAll(ctx context.Context, p arch.Params, archs []string, scale float64, seed uint64) (map[string]map[string]RunResult, error) {
-	type job struct {
-		a string
-		b *workloads.Benchmark
-	}
-	var jobs []job
-	for _, a := range archs {
-		for _, b := range workloads.All() {
-			jobs = append(jobs, job{a, b})
+// spec names one verified run: its architecture, benchmark, parameters,
+// per-thread record count and dataset seed (zero means Seed).
+type spec struct {
+	arch    string
+	b       *workloads.Benchmark
+	p       arch.Params
+	records int
+	seed    uint64
+}
+
+// runSpecs runs every spec through Run on runJobs' worker pool and returns
+// the results in list order. It is how an experiment simulates: each one
+// lists its runs, then folds the results into rows by list position.
+func runSpecs(ctx context.Context, specs []spec) ([]RunResult, error) {
+	res := make([]RunResult, len(specs))
+	err := runJobs(ctx, len(specs), func(i int) (err error) {
+		s := specs[i]
+		if res[i], _, err = Run(s.arch, s.b, s.p, s.records, Options{Seed: s.seed}); err != nil {
+			return fmt.Errorf("%s/%s: %w", s.arch, s.b.Name(), err)
 		}
-	}
-	res := make([]RunResult, len(jobs))
-	err := runJobs(ctx, len(jobs), func(i int) error {
-		j := jobs[i]
-		r, _, err := Run(j.a, j.b, p, RecordsFor(j.b, scale), Options{Seed: seed})
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", j.a, j.b.Name(), err)
-		}
-		res[i] = r
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]map[string]RunResult{}
+	return res, nil
+}
+
+// runAll executes the given architectures over all benchmarks at the given
+// record scale, returning results[arch][bench].
+func runAll(ctx context.Context, p arch.Params, archs []string, scale float64, seed uint64) (map[string]map[string]RunResult, error) {
+	var specs []spec
 	for _, a := range archs {
-		out[a] = map[string]RunResult{}
+		for _, b := range workloads.All() {
+			specs = append(specs, spec{a, b, p, RecordsFor(b, scale), seed})
+		}
 	}
-	for i, j := range jobs {
-		out[j.a][j.b.Name()] = res[i]
+	res, err := runSpecs(ctx, specs)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]map[string]RunResult{}
+	for i, s := range specs {
+		if out[s.arch] == nil {
+			out[s.arch] = map[string]RunResult{}
+		}
+		out[s.arch][s.b.Name()] = res[i]
 	}
 	return out, nil
+}
+
+// sweep runs arch on each benchmark once per series of f, where set applies
+// series i's setting to a copy of p, and appends one row per benchmark:
+// each series' performance relative to series base, then the geomeans.
+func (f *Figure) sweep(ctx context.Context, a string, benches []*workloads.Benchmark, p arch.Params, scale float64, seed uint64, base int, set func(q *arch.Params, i int)) error {
+	var specs []spec
+	for _, b := range benches {
+		for i := range f.Series {
+			q := p
+			set(&q, i)
+			specs = append(specs, spec{a, b, q, RecordsFor(b, scale), seed})
+		}
+	}
+	res, err := runSpecs(ctx, specs)
+	if err != nil {
+		return err
+	}
+	for _, b := range benches {
+		t := res[:len(f.Series)]
+		res = res[len(f.Series):]
+		row := Row{Bench: b.Name(), Values: map[string]float64{}}
+		for i, s := range f.Series {
+			row.Values[s] = float64(t[base].Time) / float64(t[i].Time)
+		}
+		f.Rows = append(f.Rows, row)
+	}
+	f.geomeans()
+	return nil
 }
 
 // Fig3 reproduces Figure 3: performance of each PNM architecture normalized
@@ -222,26 +266,12 @@ const NodeProcessors = 32
 func Fig5(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figure, error) {
 	f := &Figure{Name: "Figure 5: 32-processor Millipede node vs conventional 8-core multicore",
 		Series: []string{"speedup", "energy-improvement"}}
-	benches := workloads.All()
-	mps := make([]RunResult, len(benches))
-	mcs := make([]RunResult, len(benches))
-	err := runJobs(ctx, 2*len(benches), func(i int) error {
-		b := benches[i/2]
-		records := RecordsFor(b, scale)
-		if i%2 == 0 {
-			r, _, err := Run(ArchMillipede, b, p, records, Options{Seed: seed})
-			mps[i/2] = r
-			return err
-		}
-		r, _, err := Run(ArchMulticore, b, p, records, Options{Seed: seed})
-		mcs[i/2] = r
-		return err
-	})
+	res, err := runAll(ctx, p, []string{ArchMillipede, ArchMulticore}, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range benches {
-		mp, mc := mps[i], mcs[i]
+	for _, b := range workloads.All() {
+		mp, mc := res[ArchMillipede][b.Name()], res[ArchMulticore][b.Name()]
 		// Equal-total-input comparison: the multicore processed the same
 		// records as ONE Millipede processor; the full node runs 32
 		// processors in parallel while the multicore must serialize 32x
@@ -276,49 +306,40 @@ func Fig6(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figu
 	for _, a := range archs {
 		f.Series = append(f.Series, fmt.Sprintf("%s-64-wide", a))
 	}
-	type job struct {
-		series  string
-		params  arch.Params
-		a       string
-		b       *workloads.Benchmark
-		records int
-	}
-	var jobs []job
+	var specs []spec
+	var cols []string // cols[i] is specs[i]'s series
 	for _, n := range sizes {
 		for _, b := range workloads.All() {
 			// Equal total input across sizes: more lanes means fewer
 			// records per thread, never below the minimum-records floor.
 			records := recordsForSize(b, scale, n)
 			for _, a := range archs {
-				jobs = append(jobs, job{fmt.Sprintf("%s-%d", a, n), p.WithSize(n), a, b, records})
+				specs = append(specs, spec{a, b, p.WithSize(n), records, seed})
+				cols = append(cols, fmt.Sprintf("%s-%d", a, n))
 				if n == 64 {
-					jobs = append(jobs, job{a + "-64-wide", p.WithSizeWidthScaled(n), a, b, records})
+					specs = append(specs, spec{a, b, p.WithSizeWidthScaled(n), records, seed})
+					cols = append(cols, a+"-64-wide")
 				}
 			}
 		}
 	}
-	res := make([]RunResult, len(jobs))
-	err := runJobs(ctx, len(jobs), func(i int) error {
-		j := jobs[i]
-		r, _, err := Run(j.a, j.b, j.params, j.records, Options{Seed: seed})
-		res[i] = r
-		return err
-	})
+	res, err := runSpecs(ctx, specs)
 	if err != nil {
 		return nil, err
 	}
 	base := map[string]float64{}
 	rows := map[string]Row{}
 	var order []string
-	for i, j := range jobs {
-		if _, ok := rows[j.b.Name()]; !ok {
-			rows[j.b.Name()] = Row{Bench: j.b.Name(), Values: map[string]float64{}}
-			order = append(order, j.b.Name())
+	for i, s := range specs {
+		name := s.b.Name()
+		if _, ok := rows[name]; !ok {
+			rows[name] = Row{Bench: name, Values: map[string]float64{}}
+			order = append(order, name)
 		}
-		if j.series == ArchGPGPU+"-32" {
-			base[j.b.Name()] = float64(res[i].Time)
+		if cols[i] == ArchGPGPU+"-32" {
+			base[name] = float64(res[i].Time)
 		}
-		rows[j.b.Name()].Values[j.series] = float64(res[i].Time)
+		rows[name].Values[cols[i]] = float64(res[i].Time)
 	}
 	for _, name := range order {
 		row := rows[name]
@@ -348,29 +369,12 @@ func ChannelSweep(ctx context.Context, p arch.Params, scale float64, seed uint64
 	for _, n := range channels {
 		f.Series = append(f.Series, fmt.Sprintf("%d-ch", n))
 	}
-	benches := workloads.All()
-	res := make([]RunResult, len(benches)*len(channels))
-	err := runJobs(ctx, len(res), func(i int) error {
-		b := benches[i/len(channels)]
-		q := p
-		q.ChannelHz = ChannelSweepChannelHz
-		q.Channels = channels[i%len(channels)]
-		r, _, err := Run(ArchMillipede, b, q, RecordsFor(b, scale), Options{Seed: seed})
-		res[i] = r
-		return err
+	err := f.sweep(ctx, ArchMillipede, workloads.All(), p, scale, seed, 0, func(q *arch.Params, i int) {
+		q.ChannelHz, q.Channels = ChannelSweepChannelHz, channels[i]
 	})
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
-		row := Row{Bench: b.Name(), Values: map[string]float64{}}
-		base := float64(res[bi*len(channels)].Time)
-		for ci, n := range channels {
-			row.Values[fmt.Sprintf("%d-ch", n)] = base / float64(res[bi*len(channels)+ci].Time)
-		}
-		f.Rows = append(f.Rows, row)
-	}
-	f.geomeans()
 	return f, nil
 }
 
@@ -382,28 +386,12 @@ func Fig7(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figu
 	for _, n := range counts {
 		f.Series = append(f.Series, fmt.Sprintf("%d-buffers", n))
 	}
-	benches := workloads.All()
-	res := make([]RunResult, len(benches)*len(counts))
-	err := runJobs(ctx, len(res), func(i int) error {
-		b := benches[i/len(counts)]
-		q := p
-		q.PrefetchEntries = counts[i%len(counts)]
-		r, _, err := Run(ArchMillipede, b, q, RecordsFor(b, scale), Options{Seed: seed})
-		res[i] = r
-		return err
+	err := f.sweep(ctx, ArchMillipede, workloads.All(), p, scale, seed, 0, func(q *arch.Params, i int) {
+		q.PrefetchEntries = counts[i]
 	})
 	if err != nil {
 		return nil, err
 	}
-	for bi, b := range benches {
-		row := Row{Bench: b.Name(), Values: map[string]float64{}}
-		base := float64(res[bi*len(counts)].Time)
-		for ci, n := range counts {
-			row.Values[fmt.Sprintf("%d-buffers", n)] = base / float64(res[bi*len(counts)+ci].Time)
-		}
-		f.Rows = append(f.Rows, row)
-	}
-	f.geomeans()
 	return f, nil
 }
 
@@ -413,30 +401,17 @@ func Fig7(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figu
 func TableIV(ctx context.Context, p arch.Params, scale float64, seed uint64) (*Figure, error) {
 	f := &Figure{Name: "Table IV: benchmark parameters and characteristics",
 		Series: []string{"insts/word", "branches/inst", "ssmc-row-miss", "rate-clock-MHz"}}
-	benches := workloads.All()
-	mps := make([]RunResult, len(benches))
-	scs := make([]RunResult, len(benches))
-	err := runJobs(ctx, 2*len(benches), func(i int) error {
-		b := benches[i/2]
-		records := RecordsFor(b, scale)
-		if i%2 == 0 {
-			r, _, err := Run(ArchMillipedeRM, b, p, records, Options{Seed: seed})
-			mps[i/2] = r
-			return err
-		}
-		r, _, err := Run(ArchSSMC, b, p, records, Options{Seed: seed})
-		scs[i/2] = r
-		return err
-	})
+	res, err := runAll(ctx, p, []string{ArchMillipedeRM, ArchSSMC}, scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range benches {
+	for _, b := range workloads.All() {
+		mp, sc := res[ArchMillipedeRM][b.Name()], res[ArchSSMC][b.Name()]
 		f.Rows = append(f.Rows, Row{Bench: b.Name(), Values: map[string]float64{
-			"insts/word":     mps[i].InstsPerWord,
-			"branches/inst":  mps[i].BranchesPerInst,
-			"ssmc-row-miss":  scs[i].RowMissRate,
-			"rate-clock-MHz": mps[i].FinalHz / 1e6,
+			"insts/word":     mp.InstsPerWord,
+			"branches/inst":  mp.BranchesPerInst,
+			"ssmc-row-miss":  sc.RowMissRate,
+			"rate-clock-MHz": mp.FinalHz / 1e6,
 		}})
 	}
 	return f, nil

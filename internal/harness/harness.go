@@ -127,6 +127,16 @@ func (o Options) seed() uint64 {
 // Every architecture goes through the same steps: build the processor, run
 // it, verify it, fill the result from the shared arch.RunStats, and reduce.
 func Run(archName string, b *workloads.Benchmark, p arch.Params, records int, o Options) (RunResult, []uint32, error) {
+	res, states, err := run(archName, b, p, records, o)
+	if err != nil {
+		return res, nil, err
+	}
+	return res, b.Reduce(states), nil
+}
+
+// run is Run up to the final Reduce: it returns the measurement and the
+// verified per-thread live states.
+func run(archName string, b *workloads.Benchmark, p arch.Params, records int, o Options) (RunResult, [][]uint32, error) {
 	seed := o.seed()
 	res := RunResult{Arch: archName, Bench: b.Name()}
 	if records < 1 {
@@ -149,7 +159,7 @@ func Run(archName string, b *workloads.Benchmark, p arch.Params, records int, o 
 	res.Words = uint64(m.threads) * uint64(b.StreamWords(m.records))
 	res.fill(rs)
 	res.Timeline, res.DFS = m.timeline, m.dfs
-	return res, b.Reduce(states), nil
+	return res, states, nil
 }
 
 // fill copies the shared node result into the measurement and attaches its

@@ -129,9 +129,6 @@ type Options struct {
 	// RetryBackoff is the pause before the first retry, doubling per
 	// attempt; 0 means 50ms.
 	RetryBackoff time.Duration
-	// MaxAttempts bounds how many nodes one request may try; 0 means every
-	// node once.
-	MaxAttempts int
 	// Transport overrides the proxy transport (in-process tests and the SLA
 	// experiment); nil uses http.DefaultTransport.
 	Transport http.RoundTripper
@@ -143,7 +140,6 @@ type Router struct {
 	base    arch.Params
 	client  *http.Client
 	backoff time.Duration
-	maxTry  int
 
 	ring *Ring // fixed at New
 	// ids remembers the job id of each body that canonicalized.
@@ -175,14 +171,10 @@ func New(o Options) *Router {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 50 * time.Millisecond
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = len(o.Nodes)
-	}
 	rt := &Router{
 		base:     o.Base,
 		client:   &http.Client{Transport: o.Transport},
 		backoff:  o.RetryBackoff,
-		maxTry:   o.MaxAttempts,
 		ring:     NewRing(o.Nodes, o.Replicas),
 		statuses: rescache.New(server.MemoEntries),
 		results:  rescache.New(server.MemoEntries),
@@ -393,17 +385,15 @@ func keepCopy(c *rescache.Cache, id string, data []byte) {
 	c.Put(id, kept)
 }
 
-// forwardByKey proxies r to the key's preferred nodes, retrying transport
-// failures and 5xx gateway-ish responses with exponential backoff. A non-nil
-// keep is handed a relayed 200 reply (see tryNode).
+// forwardByKey proxies r to the key's preferred nodes, each tried at most
+// once, retrying transport failures and 5xx gateway-ish responses with
+// exponential backoff. A non-nil keep is handed a relayed 200 reply (see
+// tryNode).
 func (rt *Router) forwardByKey(w http.ResponseWriter, r *http.Request, key string, body []byte, keep func([]byte)) {
 	nodes := rt.prefer(key)
 	if len(nodes) == 0 {
 		writeError(w, http.StatusServiceUnavailable, "no worker nodes configured")
 		return
-	}
-	if len(nodes) > rt.maxTry {
-		nodes = nodes[:rt.maxTry]
 	}
 	rt.routed.Add(1)
 	var lastErr error

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,7 +69,7 @@ func run(ctx context.Context, p arch.Params, o harness.ExpOptions) (harness.Expe
 		return server.New(p, server.Options{Workers: 2, QueueCapacity: 64, Shared: store})
 	}
 	srvA, srvB := mk(), mk()
-	tr := &inprocTransport{handlers: map[string]http.Handler{nodeA: srvA, nodeB: srvB}}
+	tr := inprocTransport{nodeA: srvA, nodeB: srvB}
 	rt := router.New(router.Options{
 		Nodes:          []string{nodeA, nodeB},
 		Base:           p,
@@ -76,7 +77,7 @@ func run(ctx context.Context, p arch.Params, o harness.ExpOptions) (harness.Expe
 		HealthInterval: time.Minute, // nodes start healthy and never fail in-process
 		RetryBackoff:   time.Millisecond,
 	})
-	tr.handlers[routerURL] = rt
+	tr[routerURL] = rt
 	client := &http.Client{Transport: tr}
 	defer func() {
 		rt.Close()
@@ -229,51 +230,17 @@ func oneRequest(client *http.Client, scale float64) (float64, error) {
 // inprocTransport dispatches requests to in-process handlers by origin —
 // the whole cluster lives in one address space, so the SLA study measures
 // the serving layer itself rather than loopback socket costs.
-type inprocTransport struct {
-	handlers map[string]http.Handler
-}
+type inprocTransport map[string]http.Handler
 
-func (t *inprocTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	h, ok := t.handlers[req.URL.Scheme+"://"+req.URL.Host]
+func (t inprocTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		defer req.Body.Close()
+	}
+	h, ok := t[req.URL.Scheme+"://"+req.URL.Host]
 	if !ok {
 		return nil, fmt.Errorf("sla: no in-process handler for %s://%s", req.URL.Scheme, req.URL.Host)
 	}
-	rec := &recorder{hdr: make(http.Header)}
-	h.ServeHTTP(rec, req)
-	code := rec.code
-	if code == 0 {
-		code = http.StatusOK
-	}
-	return &http.Response{
-		StatusCode: code,
-		Status:     fmt.Sprintf("%d %s", code, http.StatusText(code)),
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     rec.hdr,
-		Body:       io.NopCloser(bytes.NewReader(rec.body.Bytes())),
-		Request:    req,
-	}, nil
-}
-
-// recorder is a minimal in-memory http.ResponseWriter.
-type recorder struct {
-	code int
-	hdr  http.Header
-	body bytes.Buffer
-}
-
-func (r *recorder) Header() http.Header { return r.hdr }
-
-func (r *recorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
-}
-
-func (r *recorder) Write(p []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
-	return r.body.Write(p)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	return w.Result(), nil
 }

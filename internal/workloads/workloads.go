@@ -52,6 +52,10 @@ type Benchmark struct {
 	Fold func(st, rec []uint32)
 	// ReduceSpec classifies each state word for Reduce.
 	ReduceSpec []Kind
+	// goldenName, when set, names the benchmark whose golden reference
+	// this one verifies against: a variant program over that benchmark's
+	// records, Fold and constants shares its memo entry.
+	goldenName string
 }
 
 // Name returns the benchmark name.
@@ -205,7 +209,11 @@ func memoPut(k goldenKey, states [][]uint32) {
 // is deterministic, so recomputing it per run is pure waste. Callers
 // receive a fresh copy and may mutate it freely.
 func (b *Benchmark) GoldenStatesStreamed(threads, records int, seed uint64) [][]uint32 {
-	k := goldenKey{name: b.Name(), consts: fmt.Sprint(b.K.Consts), threads: threads, records: records, seed: seed}
+	name := b.Name()
+	if b.goldenName != "" {
+		name = b.goldenName
+	}
+	k := goldenKey{name: name, consts: fmt.Sprint(b.K.Consts), threads: threads, records: records, seed: seed}
 	cached, ok := memoGet(k)
 	if !ok {
 		cached = make([][]uint32, threads)
@@ -357,8 +365,20 @@ func ByName(name string) (*Benchmark, error) {
 // --- count -----------------------------------------------------------------
 
 // CountBench bins ratings above a threshold.
-func CountBench() *Benchmark {
-	k := kernels.Count()
+func CountBench() *Benchmark { return countBench(kernels.Count()) }
+
+// CountBarrierBench is count with kernels.CountBarrier(interval) as its
+// program (the barrier ablation's variants): count's records, Fold and
+// ReduceSpec, verified against count's memoized golden reference, since a
+// barrier must not change results.
+func CountBarrierBench(interval int) *Benchmark {
+	b := countBench(kernels.CountBarrier(interval))
+	b.goldenName = "count"
+	return b
+}
+
+// countBench is count's records, Fold and ReduceSpec run by kernel k.
+func countBench(k *kernels.Kernel) *Benchmark {
 	return &Benchmark{
 		K:              k,
 		DefaultRecords: 4096,

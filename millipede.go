@@ -53,7 +53,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -361,7 +360,7 @@ func KMeansIteration(cfg Config, centroids [][]float32, recordsPerThread int) ([
 func CentroidShift(a, b [][]float32) (float64, error) { return harness.CentroidShift(a, b) }
 
 // NodeResult is a full multi-processor Millipede node run.
-type NodeResult = node.Result
+type NodeResult = harness.NodeResult
 
 // RunNode simulates a full Millipede node: `processors` Millipede
 // processors (each with its own die-stacked channel) execute independent
@@ -377,7 +376,7 @@ func RunNode(bench string, cfg Config, processors, recordsPerThread int, opts ..
 	if seed == 0 {
 		seed = harness.Seed
 	}
-	return node.Run(cfg, energy.Default(), b, processors, recordsPerThread, seed)
+	return harness.RunNode(context.Background(), cfg, b, processors, recordsPerThread, seed)
 }
 
 // DFSSample is one rate-matching controller decision (compute cycle and
