@@ -14,10 +14,11 @@ test:
 
 # check is the pre-merge gate: static analysis plus the race detector over
 # the concurrent packages (the figure harness fans runs out over a worker
-# pool; sim, prefetch, corelet, mem, memctrl, and stack carry the
-# determinism-critical hot paths; the serving layer — jobs, rescache, server,
-# router, sla — is concurrent by construction; datagen and workloads carry
-# the streaming dataset contract). The determinism gate against the BENCH
+# pool; sim, prefetch, corelet, mem, memctrl, stack, multicore and cache
+# carry the determinism-critical hot paths; the serving layer — jobs,
+# rescache, server, router, sla — is concurrent by construction; datagen and
+# workloads carry the streaming dataset contract; kernels' assembled programs
+# are shared by every run on the pool). The determinism gate against the BENCH
 # baseline is bench-diff plus bench-diff-noskip (below). The run includes the
 # standing gates:
 #   TestMultiChannelGoldenEquivalence — 2- and 4-channel runs reduce to the
@@ -40,12 +41,20 @@ test:
 #     per-processor times, energy, instructions and reduced output match a
 #     pinned hash;
 #   TestBarrierAblationSharesCountReference — the barrier ablation's barrier
-#     programs verify against count's golden reference (one memo entry).
-# It also runs two native fuzz smokes: 20 s of FuzzAdvanceMatchesLockstep
-# (the corelet run-ahead sweep against the lockstep sweep on generated and
-# BMLA kernels) and 10 s of FuzzCanonicalID (millid's job decoder: no panic,
-# a memoized body gets the id a fresh canonicalization gives, and the
-# canonical request re-canonicalizes to its own id). A failing input lands
+#     programs verify against count's golden reference (one memo entry);
+#   TestMulticorePinned — the multicore's full result under contention (the
+#     off-chip queue full, a one-entry queue, single issue) matches a pinned
+#     hash;
+#   TestSharedProgramsUnchangedByRuns — experiments running on the pool
+#     leave every shared kernel program's encoding unchanged.
+# It also runs three native fuzz smokes: 20 s of FuzzAdvanceMatchesLockstep
+# (the corelet run-ahead sweep and the parked run against the lockstep sweep
+# on generated and BMLA kernels), 10 s of FuzzCanonicalID (millid's job
+# decoder: no panic, a memoized body gets the id a fresh canonicalization
+# gives, and the canonical request re-canonicalizes to its own id) and 10 s
+# of FuzzDecodeProgram (the binary program decoder behind milliasm -d: an
+# error, or a program that disassembles, builds its CFG and re-encodes to
+# the same instructions). A failing input lands
 # in the package's testdata/fuzz and becomes part of the plain test run once
 # committed. Last, it vets and tests the bench/ module (millibench), which
 # imports the processor models and the harness and so breaks when their API
@@ -59,10 +68,12 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 30m ./internal/harness ./internal/sim ./internal/prefetch \
 		./internal/corelet ./internal/mem ./internal/memctrl ./internal/stack \
+		./internal/multicore ./internal/cache ./internal/kernels \
 		./internal/datagen ./internal/workloads \
 		./internal/jobs ./internal/rescache ./internal/server ./internal/router ./internal/sla
 	$(GO) test -run '^$$' -fuzz FuzzAdvanceMatchesLockstep -fuzztime 20s ./internal/corelet
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalID -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzDecodeProgram -fuzztime 10s ./internal/asm
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:

@@ -116,6 +116,9 @@ type Cache struct {
 	fillFree  []*fillCtx
 	wlistFree [][]func()
 	relayFree []*relayCtx
+	// refused records where the last Access that returned Retry bounced:
+	// true when the backing refused the fill, false at this cache.
+	refused bool
 }
 
 // mshrEntry is one in-flight fill and the demand accesses merged into it.
@@ -336,11 +339,13 @@ func (c *Cache) Access(addr uint32, onFill func()) Result {
 	}
 	if len(c.mshr) >= c.mshrMax {
 		c.stats.Retries++
+		c.refused = false
 		return Retry
 	}
 	ln := c.victim(block)
 	if ln == nil {
 		c.stats.Retries++
+		c.refused = false
 		return Retry
 	}
 	// Register the line and MSHR entry *before* calling the backing: a
@@ -363,11 +368,28 @@ func (c *Cache) Access(addr uint32, onFill func()) Result {
 		c.wlistFree = append(c.wlistFree, wl[:0])
 		c.fillFree = append(c.fillFree, ctx)
 		c.stats.Retries++
+		c.refused = true
 		return Retry
 	}
 	c.stats.Misses++
 	c.maybePrefetch(block)
 	return Miss
+}
+
+// Refused reports whether the last Access that returned Retry bounced off
+// the backing (its Enqueue refused the fill) rather than at this cache (its
+// MSHRs full, or every way of the set mid-fill).
+func (c *Cache) Refused() bool { return c.refused }
+
+// TallyRetries accounts for n Accesses that return Retry while nothing
+// changes the cache, as a caller that knows a re-issued access must bounce
+// again may do instead of making them: each such Access only advances the
+// LRU clock and the retry counter (a fill it registers is undone when the
+// backing refuses it). The backing's own share of a refused Access is the
+// caller's to account.
+func (c *Cache) TallyRetries(n uint64) {
+	c.useTick += n
+	c.stats.Retries += n
 }
 
 // fill completes a line fill and releases waiters.

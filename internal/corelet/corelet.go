@@ -379,6 +379,16 @@ func (cl *Cluster) Halted() bool { return cl.haltedCores == cl.ncore }
 // CoreHalted reports whether every context of corelet c has halted.
 func (cl *Cluster) CoreHalted(c int) bool { return int(cl.cores[c].haltCt) == cl.nctx }
 
+// Cycle returns the last cycle corelet c has been stepped or run ahead to.
+func (cl *Cluster) Cycle(c int) int64 { return cl.cores[c].cycle }
+
+// Waiting reports whether a context of corelet c waits on a memory wake or
+// a barrier release.
+func (cl *Cluster) Waiting(c int) bool {
+	hd := &cl.cores[c]
+	return bits.OnesCount64(hd.ready)+int(hd.haltCt) != cl.nctx
+}
+
 // WriteLocal stores a word into a corelet's local memory (host-side, at
 // launch).
 func (cl *Cluster) WriteLocal(c int, addr uint32, v uint32) {
@@ -523,6 +533,77 @@ func (cl *Cluster) Advance(c int, to int64) {
 		return // lockstep forced, or a context waits (or all halted)
 	}
 	cl.burst(c, to+runAheadHorizon)
+}
+
+// RunParked lets a parked corelet c run ahead toward cycle limit while
+// contexts wait. The caller guarantees that before limit no wake or barrier
+// release reaches the corelet, and that every context in bounced, stuck on
+// a global load its port last answered Retry, would be answered Retry
+// again. The other contexts issue in bursts (burst), waiting contexts
+// included. Each pick of a bounced context is the lockstep sweep's retry
+// without the port call: the retry is counted in retries[k], which the
+// caller replays on its memory hierarchy. The corelet stops before any other
+// instruction a burst leaves to lockstep, and runs at most runAheadHorizon
+// cycles. A corelet that must stay in lockstep (a tracer, or more contexts
+// than a burst holds) is left where it is.
+func (cl *Cluster) RunParked(c int, limit int64, bounced uint64, retries []uint64) {
+	hd := &cl.cores[c]
+	if cl.lockstep {
+		return
+	}
+	limit = min(limit, hd.cycle+runAheadHorizon)
+	for hd.cycle < limit {
+		if b := hd.ready; b == 0 {
+			// Nothing runnable: idle to limit, as interpret would.
+			cl.st.idleCycles += uint64(limit - hd.cycle)
+			hd.cycle = limit
+			return
+		} else if b&^bounced == 0 {
+			// Only bounced contexts are runnable, and all are ready: the
+			// round-robin pick cycles through them, one retry a cycle.
+			cl.retryRounds(hd, b, limit-hd.cycle, retries)
+			return
+		}
+		cl.burst(c, limit)
+		if hd.cycle >= limit {
+			return
+		}
+		// The burst stopped before its pick for the next cycle.
+		k := cl.pick(c, hd, int(hd.rr), hd.cycle+1)
+		if bounced>>uint(k)&1 == 0 {
+			return
+		}
+		retries[k]++
+		cl.st.retryCycles++
+		hd.cycle++
+		hd.rr = int32(k)
+	}
+}
+
+// retryRounds replays n cycles whose picks all fall on the contexts in b,
+// each ready and each retrying: the picks run through b in circular order
+// after hd.rr.
+func (cl *Cluster) retryRounds(hd *coreHot, b uint64, n int64, retries []uint64) {
+	m := int64(bits.OnesCount64(b))
+	// Members of b in pick order: those above rr, then those at or below.
+	above := b >> (uint(hd.rr) + 1) << (uint(hd.rr) + 1)
+	i := int64(0)
+	for _, seg := range [2]uint64{above, b &^ above} {
+		for ; seg != 0; seg &= seg - 1 {
+			k := bits.TrailingZeros64(seg)
+			picks := n / m
+			if i < n%m {
+				picks++
+			}
+			retries[k] += uint64(picks)
+			if i == (n-1)%m {
+				hd.rr = int32(k)
+			}
+			i++
+		}
+	}
+	cl.st.retryCycles += uint64(n)
+	hd.cycle += n
 }
 
 // NeverTicks is the NextWorkTicks sentinel: every runnable context is

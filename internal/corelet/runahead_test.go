@@ -74,7 +74,10 @@ type rig struct {
 	arrivals []arrival
 	wakes    []timedWake
 	barWait  []func()
+	barIdx   []int
 	atBar    map[int]bool
+	// park, when set, holds the rig to the parking contract (parkPlan).
+	park *parkPlan
 }
 
 type rigPort struct {
@@ -84,6 +87,9 @@ type rigPort struct {
 
 func (p rigPort) Read(ctx int, addr uint32, ready func()) Status {
 	r := p.r
+	if r.park != nil {
+		return r.park.read(r, p.c, ctx, addr, ready)
+	}
 	r.log = append(r.log, access{r.cl.cores[p.c].cycle, r.cl.now, p.c, ctx, addr})
 	switch x := r.answers.next(); x % 8 {
 	case 0, 1, 2, 3:
@@ -116,11 +122,130 @@ func (r *rig) arrive(release func()) {
 	r.atBar[idx] = true
 	r.arrivals = append(r.arrivals, arrival{cl.now, idx})
 	r.barWait = append(r.barWait, release)
+	r.barIdx = append(r.barIdx, idx)
 	if len(r.barWait) == cl.ncore*cl.nctx {
-		ws := r.barWait
-		r.barWait, r.atBar = nil, map[int]bool{}
+		ws, is := r.barWait, r.barIdx
+		r.barWait, r.barIdx = nil, nil
+		if r.park != nil {
+			// Each release lands at the start of its corelet's next epoch;
+			// until then its context still counts as arrived.
+			for i, w := range ws {
+				idx, w := is[i], w
+				r.wakes = append(r.wakes, timedWake{due: r.park.next[idx/cl.nctx], fn: func() {
+					delete(r.atBar, idx)
+					w()
+				}})
+			}
+			return
+		}
+		r.atBar = map[int]bool{}
 		for _, w := range ws {
 			w()
+		}
+	}
+}
+
+// parkPlan holds a rig to the contract a parked corelet relies on
+// (RunParked, and the multicore's park). Each corelet's run is cut into
+// epochs of 1 to maxGap ticks. A Pending access's wake and a barrier release
+// land only at the start of the corelet's next epoch, and a load that
+// bounced is answered Retry again, without a draw from the answer stream,
+// until its corelet's epoch ends; so a twin that replays those retries
+// instead of making them stays in step. Each tick is width cycles, as the
+// multicore's issue width.
+type parkPlan struct {
+	width  int64
+	gaps   splitmix
+	maxGap int
+	next   []int64 // per corelet: the tick that starts its next epoch
+	epoch  []int64 // per corelet: epochs started
+	marked []int64 // per context: 1 + the epoch its load last bounced in
+	// memo is each corelet's mask of contexts whose load bounced since its
+	// last other access, the multicore port's retry memo.
+	memo []uint64
+	// retries counts each context's Retry answers plus replayed retries.
+	retries []uint64
+}
+
+func newParkPlan(cl *Cluster, seed uint64, width int64, maxGap int) *parkPlan {
+	pp := &parkPlan{width: width, gaps: splitmix(seed), maxGap: maxGap,
+		next: make([]int64, cl.ncore), epoch: make([]int64, cl.ncore),
+		marked: make([]int64, cl.ncore*cl.nctx), memo: make([]uint64, cl.ncore),
+		retries: make([]uint64, cl.ncore*cl.nctx)}
+	for c := range pp.next {
+		pp.next[c] = 1 + int64(pp.gaps.intn(maxGap))
+	}
+	return pp
+}
+
+// roll starts a new epoch on every corelet whose next epoch starts at tick.
+func (pp *parkPlan) roll(tick int64) {
+	for c, n := range pp.next {
+		if n == tick {
+			pp.epoch[c]++
+			pp.next[c] = tick + 1 + int64(pp.gaps.intn(pp.maxGap))
+		}
+	}
+}
+
+func (pp *parkPlan) read(r *rig, c, ctx int, addr uint32, ready func()) Status {
+	idx := c*r.cl.nctx + ctx
+	if pp.marked[idx] == pp.epoch[c]+1 {
+		pp.retries[idx]++
+		pp.memo[c] |= 1 << uint(ctx)
+		return Retry
+	}
+	r.log = append(r.log, access{r.cl.cores[c].cycle, r.cl.now, c, ctx, addr})
+	switch r.answers.next() % 8 {
+	case 0, 1, 2, 3:
+		pp.memo[c] = 0
+		return Done
+	case 4, 5, 6:
+		pp.memo[c] = 0
+		r.wakes = append(r.wakes, timedWake{due: pp.next[c], fn: ready})
+		return Pending
+	default:
+		pp.marked[idx] = pp.epoch[c] + 1
+		pp.retries[idx]++
+		pp.memo[c] |= 1 << uint(ctx)
+		return Retry
+	}
+}
+
+// lockstepWide is the lockstep sweep at width cycles a tick: each active
+// corelet in index order steps width cycles (a corelet that halts
+// mid-tick idles the rest), as the multicore's cores do.
+func (pp *parkPlan) lockstepWide(cl *Cluster) {
+	cl.now++
+	for w, word := range cl.active {
+		for word != 0 {
+			c := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for i := int64(0); i < pp.width; i++ {
+				cl.tickCore(c)
+			}
+		}
+	}
+}
+
+// parkedTick is the multicore's tick: each active corelet not already
+// ahead clears its memo, advances to the tick's last cycle and, when a load
+// bounced or a context waits, runs parked to the end of its epoch.
+func (pp *parkPlan) parkedTick(cl *Cluster) {
+	cl.now++
+	to := cl.now * pp.width
+	for w, word := range cl.active {
+		for word != 0 {
+			c := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if cl.Cycle(c) >= to {
+				continue
+			}
+			pp.memo[c] = 0
+			cl.Advance(c, to)
+			if pp.memo[c] != 0 || cl.Waiting(c) {
+				cl.RunParked(c, (pp.next[c]-1)*pp.width, pp.memo[c], pp.retries[c*cl.nctx:(c+1)*cl.nctx])
+			}
 		}
 	}
 }
@@ -160,6 +285,9 @@ func (r *rig) run(t *testing.T, probes *splitmix) {
 			if n > 1 && n != NeverTicks {
 				r.cl.SkipTicks(n - 1)
 			}
+		}
+		if r.park != nil {
+			r.park.roll(r.cl.now + 1)
 		}
 		r.fireDue(r.cl.now + 1)
 		r.tick(r.cl)
@@ -448,6 +576,25 @@ func FuzzAdvanceMatchesLockstep(f *testing.F) {
 		skip := newRig(t, fc, lockstepTick)
 		skip.run(t, &probes)
 		requireSameRun(t, "lockstep with skipping", skip, ref)
+		// Parked runs behind a port that keeps the parking contract: ticks
+		// of 1 to 4 cycles, epochs of 1 to 24 ticks.
+		g := splitmix(seed ^ 0xBA11)
+		width, maxGap := int64(1+g.intn(4)), 1+g.intn(24)
+		parkedRig := func(parked bool) *rig {
+			r := newRig(t, fc, nil)
+			r.park = newParkPlan(r.cl, seed^0x6A95, width, maxGap)
+			r.tick = r.park.lockstepWide
+			if parked {
+				r.tick = r.park.parkedTick
+			}
+			r.run(t, nil)
+			return r
+		}
+		pref, parked := parkedRig(false), parkedRig(true)
+		requireSameRun(t, "parked", parked, pref)
+		if !reflect.DeepEqual(parked.park.retries, pref.park.retries) {
+			t.Fatalf("parked: per-context retries %v, lockstep %v", clip(parked.park.retries), clip(pref.park.retries))
+		}
 	})
 }
 

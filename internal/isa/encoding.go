@@ -95,7 +95,9 @@ func EncodeProgram(p *Program) []byte {
 	return out
 }
 
-// DecodeProgram parses a serialized program.
+// DecodeProgram parses a serialized program. It rejects a J, JAL or
+// conditional branch whose target lies outside the program: a target may be
+// any instruction or the program's end (the exit), as the assembler allows.
 func DecodeProgram(name string, b []byte) (*Program, error) {
 	p := &Program{Name: name, Labels: map[string]int{}}
 	for len(b) > 0 {
@@ -105,6 +107,12 @@ func DecodeProgram(name string, b []byte) (*Program, error) {
 		}
 		p.Insts = append(p.Insts, in)
 		b = b[n:]
+	}
+	for pc, in := range p.Insts {
+		if (IsCondBranch(in.Op) || in.Op == J || in.Op == JAL) && (in.Imm < 0 || int(in.Imm) > len(p.Insts)) {
+			return nil, fmt.Errorf("isa: %s: pc %d: %s branches to %d, outside the %d-instruction program",
+				name, pc, in.Op, in.Imm, len(p.Insts))
+		}
 	}
 	return p, nil
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +100,39 @@ func TestProgramRoundTrip(t *testing.T) {
 	for i := range p.Insts {
 		if back.Insts[i] != p.Insts[i] {
 			t.Errorf("inst %d: %+v vs %+v", i, back.Insts[i], p.Insts[i])
+		}
+	}
+}
+
+// TestDecodeProgramRejectsStrayTargets: a J, JAL or conditional branch
+// must target an instruction or the program's end; the error names the pc
+// and the target. "0000" is one bgeu r0, r24, 48.
+func TestDecodeProgramRejectsStrayTargets(t *testing.T) {
+	if _, err := DecodeProgram("p", []byte("0000")); err == nil ||
+		!strings.Contains(err.Error(), "pc 0") || !strings.Contains(err.Error(), "48") {
+		t.Errorf("bgeu to 48 in a 1-instruction program: err %v, want one naming pc 0 and target 48", err)
+	}
+	enc := func(ins ...Inst) []byte {
+		var b []byte
+		for _, in := range ins {
+			b = Encode(b, in)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		ins  []Inst
+		ok   bool
+	}{
+		{"branch to the end", []Inst{{Op: BEQ, Imm: 2}, {Op: HALT}}, true},
+		{"jump to the start", []Inst{{Op: NOP}, {Op: J, Imm: 0}}, true},
+		{"branch past the end", []Inst{{Op: BNE, Imm: 3}, {Op: HALT}}, false},
+		{"negative target", []Inst{{Op: NOP}, {Op: J, Imm: -1}}, false},
+		{"call past the end", []Inst{{Op: JAL, Rd: 27, Imm: 1000}, {Op: HALT}}, false},
+		{"JR is register-indirect", []Inst{{Op: JR, Rs1: 27, Imm: 1000}}, true},
+	} {
+		if _, err := DecodeProgram("p", enc(tc.ins...)); (err == nil) != tc.ok {
+			t.Errorf("%s: err %v, want ok %v", tc.name, err, tc.ok)
 		}
 	}
 }

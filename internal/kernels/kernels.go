@@ -20,6 +20,7 @@ package kernels
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -123,12 +124,38 @@ func build(name, body string, recordWords, stateWords int, consts []uint32, k [4
 	return &Kernel{
 		Name:        name,
 		Source:      src,
-		Prog:        asm.MustAssemble(name, src),
+		Prog:        assemble(name, src),
 		RecordWords: recordWords,
 		StateWords:  stateWords,
 		Consts:      consts,
 		K:           k,
 	}
+}
+
+// progKey identifies one assembled kernel.
+type progKey struct{ name, src string }
+
+// progs memoizes assembled kernels. Every kernel body is a fixed string (a
+// kernel's centroids travel in Consts and its scalars in K), so the memo
+// holds one entry per kernel body, and a constructor called again returns a
+// Kernel sharing the first call's Program. Sharing is safe: nothing outside
+// internal/asm writes a Program's Insts, Labels or ReconvPC.
+var progs = struct {
+	sync.Mutex
+	m map[progKey]*isa.Program
+}{m: map[progKey]*isa.Program{}}
+
+// assemble returns the memoized program for src, assembling it on first use.
+func assemble(name, src string) *isa.Program {
+	progs.Lock()
+	defer progs.Unlock()
+	k := progKey{name, src}
+	p, ok := progs.m[k]
+	if !ok {
+		p = asm.MustAssemble(name, src)
+		progs.m[k] = p
+	}
+	return p
 }
 
 // StateLayout describes where thread state lives in local/shared memory.

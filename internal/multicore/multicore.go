@@ -14,6 +14,7 @@ package multicore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/layout"
 	"repro/internal/mem"
+	"repro/internal/memctrl"
 	"repro/internal/sim"
 )
 
@@ -108,13 +110,29 @@ type delayed struct {
 	fn  func()
 }
 
-// delayLine defers callbacks by core cycles, modeling L2 hit latency on top
-// of the synchronous cache stack. It also owns the freelist of delayCtx
-// records so the per-request Done plumbing allocates nothing in steady state.
+// delayLine defers one core's callbacks by core cycles, modeling L2 hit
+// latency on top of the synchronous cache stack. Each core has its own line:
+// a line's callbacks fill only its core's L1 and wake only its contexts, so
+// the order in which the lines fire within a cycle changes nothing, and the
+// line's earliest due cycle bounds when the core can next be woken (see
+// park). It also owns the freelist of delayCtx records so the per-request
+// Done plumbing allocates nothing in steady state.
 type delayLine struct {
-	now  uint64
-	q    []delayed
+	now uint64
+	q   []delayed
+	// next is the earliest due cycle in q (math.MaxUint64 when empty).
+	next uint64
 	free []*delayCtx
+}
+
+// newDelayLine pre-seeds the freelist past the core's outstanding delayed
+// completions, which its L1's MSHRs bound, so the cycle loop never grows it.
+func newDelayLine() *delayLine {
+	d := &delayLine{q: make([]delayed, 0, 32), next: math.MaxUint64, free: make([]*delayCtx, 0, 32)}
+	for i := 0; i < 16; i++ {
+		d.free = append(d.free, d.newCtx())
+	}
+	return d
 }
 
 // delayCtx carries one request's completion through the delay line. Both of
@@ -164,20 +182,36 @@ func (d *delayLine) putCtx(ctx *delayCtx) {
 }
 
 func (d *delayLine) after(cycles int, fn func()) {
-	d.q = append(d.q, delayed{due: d.now + uint64(cycles), fn: fn})
+	due := d.now + uint64(cycles)
+	d.q = append(d.q, delayed{due: due, fn: fn})
+	d.next = min(d.next, due)
 }
 
 func (d *delayLine) tick() {
 	d.now++
+	if d.now < d.next {
+		return
+	}
 	rest := d.q[:0]
+	d.next = math.MaxUint64
 	for _, e := range d.q {
 		if e.due <= d.now {
 			e.fn()
 		} else {
 			rest = append(rest, e)
+			d.next = min(d.next, e.due)
 		}
 	}
 	d.q = rest
+}
+
+// nextDue returns the cycle at whose tick the line's next callback fires,
+// or math.MaxInt64 when none is queued.
+func (d *delayLine) nextDue() int64 {
+	if d.next > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(max(d.next, d.now+1))
 }
 
 // delayedPort adds a fixed completion delay to an inner memory port (the L2
@@ -223,23 +257,63 @@ type System struct {
 	// live is the active set of non-halted core indices, compacted in
 	// registration order as cores halt (cores never un-halt).
 	live  []int32
+	ports []*port
 	l1s   []*cache.Cache
 	l2s   []*cache.Cache
-	delay *delayLine
 	lay   layout.Layout
 	ticks uint64
 }
 
-type port struct{ c *cache.Cache }
+// port is one core's global port: its L1, behind it the delay line, its L2
+// and the off-chip fabric (the node has no stack backend, so the fabric is
+// the L2's backing), plus the retry memo that parks the core (park).
+type port struct {
+	l1, l2 *cache.Cache
+	delay  *delayLine
+	fabric *mem.System
+	// bounced is the mask of contexts whose load bounced since the core last
+	// changed its hierarchy's state (any access that did not bounce may
+	// have). level and addr record where each bounced — 1 at the L1, 2 at
+	// the L2, 3 at the controller — and the address.
+	bounced uint64
+	level   []uint8
+	addr    []uint32
+	// retries receives the per-context retry counts of a parked run.
+	retries []uint64
+}
 
-func (p port) Read(ctx int, addr uint32, ready func()) corelet.Status {
-	switch p.c.Access(addr, ready) {
+func (p *port) Read(ctx int, addr uint32, ready func()) corelet.Status {
+	switch p.l1.Access(addr, ready) {
 	case cache.Hit:
+		p.bounced = 0
 		return corelet.Done
 	case cache.Miss:
+		p.bounced = 0
 		return corelet.Pending
-	default:
-		return corelet.Retry
+	}
+	level := uint8(1)
+	if p.l1.Refused() {
+		level = 2
+		if p.l2.Refused() {
+			level = 3
+		}
+	}
+	p.bounced |= 1 << uint(ctx)
+	p.level[ctx], p.addr[ctx] = level, addr
+	return corelet.Retry
+}
+
+// replay accounts for n re-issues of context k's bounced load without
+// walking the hierarchy: each would bounce where the last one did, moving
+// the L1's counters, the L2's below it and the controller's rejects below
+// that.
+func (p *port) replay(k int, n uint64) {
+	p.l1.TallyRetries(n)
+	if p.level[k] > 1 {
+		p.l2.TallyRetries(n)
+	}
+	if p.level[k] > 2 {
+		p.fabric.TallyRejects(p.addr[k], n)
 	}
 }
 
@@ -281,13 +355,6 @@ func New(c Config, ep energy.Params, l core.Launch) (*System, error) {
 	}
 	node.DRAM.LoadWords(0, flat)
 	s := &System{C: c, EP: ep, node: node, lay: lay}
-	s.delay = &delayLine{q: make([]delayed, 0, 256)}
-	// Outstanding delayed completions are bounded by the L1s' collective
-	// MSHR capacity; pre-seed past it so the cycle loop never grows the list.
-	s.delay.free = make([]*delayCtx, 0, 32*c.Cores)
-	for i := 0; i < 16*c.Cores; i++ {
-		s.delay.free = append(s.delay.free, s.delay.newCtx())
-	}
 
 	read := func(addr uint32) uint32 { return node.DRAM.ReadWord(addr) }
 	code, err := corelet.Decode(l.Prog, c.Latencies)
@@ -302,13 +369,17 @@ func New(c Config, ep energy.Params, l core.Launch) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
+		d := newDelayLine()
 		l1, err := cache.New(cache.Config{
 			SizeBytes: c.L1Bytes, LineBytes: c.LineBytes, Assoc: 4, PrefetchDepth: 2,
-		}, delayedPort{inner: l2, d: s.delay, delay: c.L2Latency}, 8)
+		}, delayedPort{inner: l2, d: d, delay: c.L2Latency}, 8)
 		if err != nil {
 			return nil, err
 		}
-		ports[i] = port{c: l1}
+		p := &port{l1: l1, l2: l2, delay: d, fabric: node.Mem,
+			level: make([]uint8, c.SMT), addr: make([]uint32, c.SMT), retries: make([]uint64, c.SMT)}
+		ports[i] = p
+		s.ports = append(s.ports, p)
 		s.l1s = append(s.l1s, l1)
 		s.l2s = append(s.l2s, l2)
 	}
@@ -351,14 +422,25 @@ func (t coresTicker) Halted() bool { return t.s.Halted() }
 // the cycle's last slot (corelet.Cluster.Advance). A core that halts
 // mid-cycle still receives its remaining slots (as with the full scan, which
 // only checked Halted at the top of the cycle) and drops out the next cycle.
-func (s *System) tick(sim.Time) {
+// A core that steps in lockstep and ends the step with a bounced load or a
+// waiting context is parked (park).
+func (s *System) tick(now sim.Time) {
 	s.ticks++
-	s.delay.tick()
+	for _, p := range s.ports {
+		p.delay.tick()
+	}
 	to := int64(s.ticks) * int64(s.C.IssueWidth)
 	live := s.live
 	n := 0
 	for i, co := range live {
-		s.cluster.Advance(int(co), to)
+		if c := int(co); s.cluster.Cycle(c) < to {
+			p := s.ports[c]
+			p.bounced = 0
+			s.cluster.Advance(c, to)
+			if p.bounced != 0 || s.cluster.Waiting(c) {
+				s.park(c, p, now)
+			}
+		}
 		if !s.cluster.CoreHalted(int(co)) {
 			if n != i {
 				live[n] = co // only move on an actual halt
@@ -367,6 +449,46 @@ func (s *System) tick(sim.Time) {
 		}
 	}
 	s.live = live[:n]
+}
+
+// park runs core co ahead to its horizon after its lockstep step in the
+// system cycle at engine time now. The horizon is the earliest system cycle
+// in which anything could wake one of its contexts or change the answer one
+// of its bounced loads got:
+//
+//   - its delay line's next due cycle: the line is the only source of its
+//     L1 fills and of its wakes;
+//   - the first cycle at or after the memory fabric's next work cycle
+//     (mem.System.NextWorkCycle): the fabric is the only source of its L2
+//     fills and of room in the controller queue. A fill the fabric delivers
+//     reaches the L1 only through the delay line, so when no load bounced
+//     the fabric's bound is L2Latency-1 cycles later.
+//
+// Before the horizon the core runs in bursts, waiting contexts included, and
+// each re-issue of a bounced load is replayed from the memo instead of
+// walking the hierarchy (corelet RunParked, port.replay). DESIGN.md
+// ("Parking the multicore's cores") gives the argument.
+func (s *System) park(co int, p *port, now sim.Time) {
+	h := p.delay.nextDue()
+	if m := s.node.Mem.NextWorkCycle(); m != memctrl.NeverCycle {
+		t := s.node.MemDomain.TimeOfTick(uint64(m))
+		per := s.node.Compute.Period()
+		j := int64(s.ticks) + int64((t-now+per-1)/per)
+		if p.bounced == 0 {
+			j += int64(max(s.C.L2Latency-1, 0))
+		}
+		h = min(h, j)
+	}
+	if h == math.MaxInt64 {
+		return // nothing in flight to bound the horizon: stay in lockstep
+	}
+	s.cluster.RunParked(co, (h-1)*int64(s.C.IssueWidth), p.bounced, p.retries)
+	for k, n := range p.retries {
+		if n != 0 {
+			p.replay(k, n)
+			p.retries[k] = 0
+		}
+	}
 }
 
 // Halted reports whether all cores finished.
