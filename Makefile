@@ -47,14 +47,18 @@ test:
 #     hash;
 #   TestSharedProgramsUnchangedByRuns — experiments running on the pool
 #     leave every shared kernel program's encoding unchanged.
-# It also runs three native fuzz smokes: 20 s of FuzzAdvanceMatchesLockstep
+# It also runs four native fuzz smokes: 20 s of FuzzAdvanceMatchesLockstep
 # (the corelet run-ahead sweep and the parked run against the lockstep sweep
 # on generated and BMLA kernels), 10 s of FuzzCanonicalID (millid's job
 # decoder: no panic, a memoized body gets the id a fresh canonicalization
-# gives, and the canonical request re-canonicalizes to its own id) and 10 s
+# gives, and the canonical request re-canonicalizes to its own id), 10 s
 # of FuzzDecodeProgram (the binary program decoder behind milliasm -d: an
 # error, or a program that disassembles, builds its CFG and re-encodes to
-# the same instructions). A failing input lands
+# the same instructions) and 10 s of FuzzStoreWire (the result store's
+# GET/PUT/lease wire form against a model of the lease protocol: only
+# documented replies, a miss carries exactly one of a lease and
+# Retry-After, a granted or absent lease stores the body, a stale one
+# stores nothing). A failing input lands
 # in the package's testdata/fuzz and becomes part of the plain test run once
 # committed. Last, it vets and tests the bench/ module (millibench), which
 # imports the processor models and the harness and so breaks when their API
@@ -74,6 +78,7 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzAdvanceMatchesLockstep -fuzztime 20s ./internal/corelet
 	$(GO) test -run '^$$' -fuzz FuzzCanonicalID -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzDecodeProgram -fuzztime 10s ./internal/asm
+	$(GO) test -run '^$$' -fuzz FuzzStoreWire -fuzztime 10s ./internal/rescache
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
@@ -91,13 +96,13 @@ SEED ?= 1
 ab:
 	bash scripts/ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(SEED)
 
-# bench-diff is the determinism gate: re-run the 48 arch x bench entries
+# bench-diff is the determinism gate: re-run the 56 arch x bench entries
 # and fail unless every records/sim_cycles/sim_picos/insts field is
 # bit-identical to the committed baseline. A timing-neutral change must pass
 # this unchanged; a change that alters timing on purpose writes a new
 # baseline with `milliexp -benchjson` (see EXPERIMENTS.md, "Determinism
 # gate").
-BENCH_BASE ?= BENCH_4.json
+BENCH_BASE ?= BENCH_5.json
 bench-diff:
 	$(GO) run ./cmd/milliexp -benchdiff $(BENCH_BASE)
 

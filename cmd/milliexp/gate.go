@@ -12,14 +12,15 @@ import (
 
 // gateScale is the input scale -benchjson writes a fresh baseline at. It is
 // large enough that every run spends most of its simulated time in steady
-// state, and small enough that the 48 runs take seconds.
+// state, and small enough that the 56 runs take seconds.
 const gateScale = 0.25
 
-// gateArchs is Figure 3's architecture set, in the order baselines list
-// their entries.
+// gateArchs is Figure 3's architecture set plus the multicore, in the order
+// baselines list their entries.
 var gateArchs = []string{
 	harness.ArchGPGPU, harness.ArchVWS, harness.ArchSSMC,
 	harness.ArchMillipedeNoFC, harness.ArchVWSRow, harness.ArchMillipede,
+	harness.ArchMulticore,
 }
 
 // baseline is a BENCH_*.json determinism baseline: the input scale and, per

@@ -8,11 +8,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestCommittedBaselineDecodes checks that the committed baseline, which
-// also carries the retired throughput fields, decodes to one complete entry
-// per gate architecture x benchmark at the gate's scale.
+// TestCommittedBaselineDecodes checks that the committed baseline decodes
+// to one complete entry per gate architecture x benchmark (56) at the gate's
+// scale.
 func TestCommittedBaselineDecodes(t *testing.T) {
-	base, err := readBaseline(filepath.Join("..", "..", "BENCH_4.json"))
+	base, err := readBaseline(filepath.Join("..", "..", "BENCH_5.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +33,8 @@ func TestCommittedBaselineDecodes(t *testing.T) {
 			}
 		}
 	}
-	if n := len(gateArchs) * len(workloads.All()); len(base.Entries) != n {
-		t.Errorf("%d entries, want %d", len(base.Entries), n)
+	if len(base.Entries) != 56 || len(gateArchs)*len(workloads.All()) != 56 {
+		t.Errorf("%d entries for %d architectures, want 56 for 7", len(base.Entries), len(gateArchs))
 	}
 }
 

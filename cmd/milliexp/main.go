@@ -9,19 +9,19 @@
 //
 //	milliexp -list
 //	milliexp [-scale 1.0] [-only fig3,fig4,timeline,...]
-//	milliexp -benchdiff BENCH_4.json [-skip off]
-//	milliexp -benchjson BENCH_5.json
+//	milliexp -benchdiff BENCH_5.json [-skip off]
+//	milliexp -benchjson BENCH_6.json
 //
 // scale multiplies each benchmark's default input size; 1.0 is the
 // paper-scale run recorded in EXPERIMENTS.md.
 //
 // -benchdiff is the determinism gate: it re-runs Figure 3's six
-// architectures on every benchmark at the baseline's scale and exits
-// nonzero unless every entry's records, sim_cycles, sim_picos, and insts
-// are bit-identical to the baseline file. -benchjson writes those fields
-// as a fresh baseline (at scale 0.25, or the -benchdiff baseline's scale),
-// for a change that alters simulated timing on purpose. Simulator speed is
-// measured by millibench (bench/), not here.
+// architectures and the multicore on every benchmark at the baseline's
+// scale and exits nonzero unless every entry's records, sim_cycles,
+// sim_picos, and insts are bit-identical to the baseline file. -benchjson
+// writes those fields as a fresh baseline (at scale 0.25, or the
+// -benchdiff baseline's scale), for a change that alters simulated timing
+// on purpose. Simulator speed is measured by millibench (bench/), not here.
 package main
 
 import (
@@ -149,7 +149,7 @@ func main() {
 	}
 }
 
-// runGate re-runs the determinism gate's 48 entries, writes them to outPath
+// runGate re-runs the determinism gate's 56 entries, writes them to outPath
 // when it is set, and diffs them against the baseline at basePath when that
 // is set.
 func runGate(outPath, basePath string, noskip bool) {

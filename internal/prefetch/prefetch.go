@@ -47,10 +47,11 @@ type Config struct {
 	Corelets    int  // slabs per entry (32)
 	RowBytes    int  // 2048
 	FlowControl bool // the paper's DF-counter flow control
-	// MaxWaiters pre-sizes each entry's wait-list (normally the processor's
-	// total context count — every hardware thread can block on one entry).
-	// Zero defaults to Corelets. Purely a steady-state-allocation hint;
-	// lists grow past it if ever needed.
+	// MaxWaiters sizes the waiter arena every wait-list draws from
+	// (normally the processor's total context count — every hardware thread
+	// blocks on at most one row at a time). Zero defaults to Corelets.
+	// Purely a steady-state-allocation hint; the arena grows past it if
+	// ever needed.
 	MaxWaiters int
 }
 
@@ -105,15 +106,30 @@ type waiter struct {
 	cb      func()
 }
 
+// node is one waiter arena slot; next links it to the following node of its
+// wait-list or of the free list (0 ends a list: node 0 is never used).
+type node struct {
+	w    waiter
+	next int32
+}
+
+// waitList is a FIFO of arena nodes, served in the order they were added;
+// the zero value is empty.
+type waitList struct{ head, tail int32 }
+
+func (l waitList) empty() bool { return l.head == 0 }
+
 type entry struct {
 	row      int64 // -1 unallocated
 	filled   bool
 	pft      bool
 	df       int
 	consumed []uint64 // per-corelet bitmap of consumed slab words
-	waiters  []waiter
+	waiters  waitList
 }
 
+// reset tags e with row. An entry is reset only once its waiters have been
+// served (a fill) or parked in future (evictWaiters).
 func (e *entry) reset(row int64) {
 	e.row = row
 	e.filled = false
@@ -122,14 +138,14 @@ func (e *entry) reset(row int64) {
 	for i := range e.consumed {
 		e.consumed[i] = 0
 	}
-	e.waiters = e.waiters[:0]
+	e.waiters = waitList{}
 }
 
 // futureRow is one parked wait-list: corelets waiting on a row not currently
 // resident in the queue.
 type futureRow struct {
 	row     int64
-	waiters []waiter
+	waiters waitList
 }
 
 // Buffer is the shared prefetch buffer of one Millipede processor.
@@ -157,9 +173,12 @@ type Buffer struct {
 	// handful of rows are ever parked at once, so a linear scan beats a map;
 	// the list is unordered (only keyed lookups, never iterated for effect).
 	future []futureRow
-	// waiterPool recycles detached future wait-list backing arrays, so the
-	// park/serve cycle stops allocating once warm.
-	waiterPool [][]waiter
+	// nodes is the arena every wait-list (the entries' and the parked
+	// rows') links its waiters through, and free heads its unused nodes.
+	// Each context waits on at most one row at a time, so MaxWaiters nodes
+	// serve every list and the park/serve cycle never allocates.
+	nodes []node
+	free  int32
 	// inFlight marks outstanding fetches: key = row*256 + corelet for slab
 	// demand fetches, row*256 + 255 for full-row prefetches. Bounded by
 	// Entries outstanding row fetches + Corelets slab fetches, so a small
@@ -210,19 +229,16 @@ func New(cfg Config, port mem.Port) (*Buffer, error) {
 	for i := range b.entries {
 		b.entries[i].row = -1
 		b.entries[i].consumed = make([]uint64, cfg.Corelets)
-		b.entries[i].waiters = make([]waiter, 0, maxW)
 	}
-	// Every (corelet, context) can park on at most one row, so the number
-	// of simultaneously live wait-lists — resident entries plus parked
-	// future rows — is bounded by Entries + Corelets lists in practice
-	// (without flow control, lagging corelets spread across many rows).
-	// Seed the pool past that so the cycle loop never allocates a list.
-	nlists := cfg.Entries + cfg.Corelets
-	b.future = make([]futureRow, 0, nlists)
-	b.waiterPool = make([][]waiter, 0, 2*nlists)
-	for i := 0; i < nlists; i++ {
-		b.waiterPool = append(b.waiterPool, make([]waiter, 0, maxW))
+	// Without flow control lagging corelets spread across many rows, but
+	// each (corelet, context) parks on at most one, so at most Entries +
+	// Corelets rows are parked at once in practice.
+	b.future = make([]futureRow, 0, cfg.Entries+cfg.Corelets)
+	b.nodes = make([]node, maxW+1)
+	for i := 1; i < maxW; i++ {
+		b.nodes[i].next = int32(i + 1)
 	}
+	b.free = 1
 	b.stash = make([]int64, cfg.Corelets)
 	for i := range b.stash {
 		b.stash[i] = -1
@@ -311,44 +327,69 @@ func (b *Buffer) futureIdx(row int64) int {
 	return -1
 }
 
-// newWaiters returns an empty wait-list, reusing a pooled backing array.
-func (b *Buffer) newWaiters() []waiter {
-	if n := len(b.waiterPool); n > 0 {
-		ws := b.waiterPool[n-1]
-		b.waiterPool = b.waiterPool[:n-1]
-		return ws
+// push appends w to l, in a node from the free list; the arena grows only
+// when more waiters are live than it was sized for.
+func (b *Buffer) push(l *waitList, w waiter) {
+	n := b.free
+	if n == 0 {
+		b.nodes = append(b.nodes, node{})
+		n = int32(len(b.nodes) - 1)
+	} else {
+		b.free = b.nodes[n].next
 	}
-	n := b.cfg.MaxWaiters
-	if n <= 0 {
-		n = b.cfg.Corelets
+	b.nodes[n] = node{w: w}
+	if l.tail == 0 {
+		l.head = n
+	} else {
+		b.nodes[l.tail].next = n
 	}
-	return make([]waiter, 0, n)
+	l.tail = n
 }
 
-// recycle returns a detached wait-list's backing array to the pool. Callers
-// must only recycle after they are done iterating the slice.
-func (b *Buffer) recycle(ws []waiter) {
-	if cap(ws) > 0 {
-		b.waiterPool = append(b.waiterPool, ws[:0])
+// pop removes l's first waiter and frees its node. The waiter is returned
+// by value, so a callback it fires may reuse the node.
+func (b *Buffer) pop(l *waitList) waiter {
+	n := l.head
+	w := b.nodes[n].w
+	l.head = b.nodes[n].next
+	if l.head == 0 {
+		l.tail = 0
 	}
+	b.nodes[n] = node{next: b.free}
+	b.free = n
+	return w
+}
+
+// splice moves src's waiters, in order, to the end of dst.
+func (b *Buffer) splice(dst *waitList, src waitList) {
+	if src.empty() {
+		return
+	}
+	if dst.tail == 0 {
+		dst.head = src.head
+	} else {
+		b.nodes[dst.tail].next = src.head
+	}
+	dst.tail = src.tail
 }
 
 // addFuture parks one waiter on a non-resident row.
 func (b *Buffer) addFuture(row int64, w waiter) {
-	if i := b.futureIdx(row); i >= 0 {
-		b.future[i].waiters = append(b.future[i].waiters, w)
-		return
-	}
-	b.future = append(b.future, futureRow{row: row, waiters: append(b.newWaiters(), w)})
-}
-
-// takeFuture detaches and returns row's parked wait-list (nil if none). The
-// caller iterates it and then recycles it; detaching first keeps the list
-// safe against b.future mutations from callbacks fired mid-iteration.
-func (b *Buffer) takeFuture(row int64) []waiter {
 	i := b.futureIdx(row)
 	if i < 0 {
-		return nil
+		i = len(b.future)
+		b.future = append(b.future, futureRow{row: row})
+	}
+	b.push(&b.future[i].waiters, w)
+}
+
+// takeFuture detaches and returns row's parked wait-list (empty if none).
+// Detaching first keeps the list safe against b.future mutations from
+// callbacks fired while the caller serves it.
+func (b *Buffer) takeFuture(row int64) waitList {
+	i := b.futureIdx(row)
+	if i < 0 {
+		return waitList{}
 	}
 	ws := b.future[i].waiters
 	last := len(b.future) - 1
@@ -363,15 +404,15 @@ func (b *Buffer) takeFuture(row int64) []waiter {
 // arrives. Waiters exist only on unfilled entries, which by construction
 // always have an in-flight or pending fetch.
 func (b *Buffer) evictWaiters(e *entry) {
-	if len(e.waiters) == 0 {
+	if e.waiters.empty() {
 		return
 	}
 	if i := b.futureIdx(e.row); i >= 0 {
-		b.future[i].waiters = append(b.future[i].waiters, e.waiters...)
+		b.splice(&b.future[i].waiters, e.waiters)
 	} else {
-		b.future = append(b.future, futureRow{row: e.row, waiters: append(b.newWaiters(), e.waiters...)})
+		b.future = append(b.future, futureRow{row: e.row, waiters: e.waiters})
 	}
-	e.waiters = e.waiters[:0]
+	e.waiters = waitList{}
 }
 
 // allocate assigns nextRow to its slot and issues the fetch. The caller has
@@ -519,46 +560,42 @@ func (b *Buffer) arrive(row int64, who int) {
 		if e.row == row && !e.filled {
 			e.filled = true
 			ws := e.waiters
-			e.waiters = e.waiters[:0]
-			for _, w := range ws {
+			e.waiters = waitList{}
+			for !ws.empty() {
+				w := b.pop(&ws)
 				b.consume(e, w.corelet, w.slot)
 				if w.cb != nil {
 					w.cb()
 				}
 			}
 		}
-		if ws := b.takeFuture(row); ws != nil {
-			for _, w := range ws {
-				b.stash[w.corelet] = row
-				if w.cb != nil {
-					w.cb()
-				}
+		ws := b.takeFuture(row)
+		for !ws.empty() {
+			w := b.pop(&ws)
+			b.stash[w.corelet] = row
+			if w.cb != nil {
+				w.cb()
 			}
-			b.recycle(ws)
 		}
 		return
 	}
 	// Slab arrival: serve this corelet's waiters for the row, re-parking the
-	// rest. The list is detached up front so callbacks are free to touch
-	// b.future.
+	// rest in order. The list is detached up front so callbacks are free to
+	// touch b.future.
 	ws := b.takeFuture(row)
-	if ws == nil {
-		return
-	}
-	rest := ws[:0]
-	for _, w := range ws {
-		if w.corelet == who {
-			b.stash[who] = row
-			if w.cb != nil {
-				w.cb()
-			}
-		} else {
-			rest = append(rest, w)
+	var rest waitList
+	for !ws.empty() {
+		w := b.pop(&ws)
+		if w.corelet != who {
+			b.push(&rest, w)
+			continue
+		}
+		b.stash[who] = row
+		if w.cb != nil {
+			w.cb()
 		}
 	}
-	if len(rest) == 0 {
-		b.recycle(ws)
-	} else {
+	if !rest.empty() {
 		b.future = append(b.future, futureRow{row: row, waiters: rest})
 	}
 }
@@ -658,7 +695,7 @@ func (b *Buffer) Access(c int, slot int, addr uint32, cb func()) Result {
 			b.stats.ReadyHits++
 			return Ready
 		}
-		e.waiters = append(e.waiters, waiter{c, slot, cb})
+		b.push(&e.waiters, waiter{c, slot, cb})
 		b.stats.Starved++
 		return Waiting
 	}
@@ -681,7 +718,7 @@ func (b *Buffer) Access(c int, slot int, addr uint32, cb func()) Result {
 				b.stats.ReadyHits++
 				return Ready
 			}
-			e.waiters = append(e.waiters, waiter{c, slot, cb})
+			b.push(&e.waiters, waiter{c, slot, cb})
 			b.stats.Starved++
 			return Waiting
 		}
@@ -708,10 +745,7 @@ func (b *Buffer) Access(c int, slot int, addr uint32, cb func()) Result {
 // adoptFuture moves waiters of the row just tagged into the entry's wait
 // list; they are served when the fill arrives.
 func (b *Buffer) adoptFuture(e *entry) {
-	if ws := b.takeFuture(e.row); ws != nil {
-		e.waiters = append(e.waiters, ws...)
-		b.recycle(ws)
-	}
+	b.splice(&e.waiters, b.takeFuture(e.row))
 }
 
 // Occupancy returns the number of allocated entries whose data is filled
@@ -734,7 +768,7 @@ func (b *Buffer) Done() bool {
 		return false
 	}
 	for i := range b.entries {
-		if len(b.entries[i].waiters) > 0 {
+		if !b.entries[i].waiters.empty() {
 			return false
 		}
 	}

@@ -2,6 +2,8 @@ package prefetch
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -478,5 +480,71 @@ func TestPropertyNoFlowControlStillCompletes(t *testing.T) {
 				t.Fatalf("trial %d: no termination", trial)
 			}
 		}
+	}
+}
+
+// TestNewBytes: a buffer for the default processor geometry (16 entries, 32
+// corelets of 4 contexts, 2 KB rows) draws its waiters from one arena of 128
+// nodes, about 15 KB in all; pre-sizing each of its lists for 128 waiters
+// would take more than 200 KB.
+func TestNewBytes(t *testing.T) {
+	cfg := Config{Entries: 16, Corelets: 32, RowBytes: 2048, FlowControl: true, MaxWaiters: 32 * 4}
+	const n, maxBytes = 20, 24 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := New(cfg, &fakeMem{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > maxBytes {
+		t.Errorf("New allocates %d bytes, want at most %d", per, maxBytes)
+	}
+}
+
+// TestWaitersServedInOrder: a row's waiters wake in the order they waited,
+// on a filling entry and on a parked row whose slab fetches serve one
+// corelet at a time (the others stay parked, in order).
+func TestWaitersServedInOrder(t *testing.T) {
+	var order []int
+	wake := func(id int) func() { return func() { order = append(order, id) } }
+
+	m := &fakeMem{}
+	b := newBuf(t, cfg4x4(true), m, 10)
+	for i, c := range []int{2, 0, 3, 1} {
+		if b.Access(c, 0, 0, wake(i)) != Waiting {
+			t.Fatal("access to an unfilled entry did not wait")
+		}
+	}
+	m.drainOne()
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(order, want) {
+		t.Errorf("entry waiters woke in order %v, want %v", order, want)
+	}
+
+	// Without flow control a leader evicts row 0; laggards then park on it,
+	// each corelet's slab demand-fetched in the order they missed.
+	cfg := cfg4x4(false)
+	m = &fakeMem{}
+	b = newBuf(t, cfg, m, 20)
+	m.drainAll()
+	for r := 0; r < 4; r++ {
+		for s := 0; s < cfg.SlabWords(); s++ {
+			b.Access(0, s, uint32(r*cfg.RowBytes), nil)
+			m.drainAll()
+		}
+	}
+	order = nil
+	for i, w := range []struct{ c, slot int }{{2, 0}, {1, 0}, {2, 1}, {3, 0}, {1, 1}} {
+		if b.Access(w.c, w.slot, 0, wake(i)) != Waiting {
+			t.Fatal("laggard access did not wait")
+		}
+	}
+	m.drainAll()
+	if want := []int{0, 2, 1, 4, 3}; !reflect.DeepEqual(order, want) {
+		t.Errorf("parked waiters woke in order %v, want %v", order, want)
+	}
+	if len(b.future) != 0 {
+		t.Errorf("%d rows left parked after every fetch arrived", len(b.future))
 	}
 }

@@ -14,6 +14,7 @@
 //	                            404 + Retry-After: 1          miss, fill in flight
 //	PUT /store/v1/items/{key}   204                           stored (lease cleared)
 //	    X-Millistore-Lease: t   409                           stale lease, ignored
+//	                            413                           body over 16 MiB, ignored
 //	GET /healthz, /metrics      liveness + store counters
 //
 // Store also implements SharedTier natively, so in-process topologies (the

@@ -8,6 +8,7 @@ package server
 
 import (
 	"net/http"
+	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/workloads"
@@ -73,19 +74,50 @@ func paramsFor(uses []string) []paramDesc {
 	)
 }
 
+// experimentsBody and workloadsBody are the GET /v1/experiments and GET
+// /v1/workloads replies, encoded on first use. Both lists are fixed once
+// every init has registered its experiment (harness.Register), so each
+// process encodes them once and serves the stored bytes.
+var (
+	experimentsBody = sync.OnceValues(func() ([]byte, error) { return encodeKept(experimentList()) })
+	workloadsBody   = sync.OnceValues(func() ([]byte, error) { return encodeKept(workloadList()) })
+)
+
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
-	// Name and Description predate the params descriptors and must keep
-	// their shape: old clients decode exactly those two fields.
-	type expBody struct {
-		Name        string      `json:"name"`
-		Description string      `json:"description"`
-		Params      []paramDesc `json:"params"`
+	writeStored(w, experimentsBody)
+}
+
+func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
+	writeStored(w, workloadsBody)
+}
+
+// writeStored sends a body encoded once, or 500 if it failed to encode.
+func writeStored(w http.ResponseWriter, body func() ([]byte, error)) {
+	data, err := body()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	writeBody(w, http.StatusOK, data)
+}
+
+// expBody is one GET /v1/experiments entry. Name and Description predate
+// the params descriptors and must keep their shape: old clients decode
+// exactly those two fields.
+type expBody struct {
+	Name        string      `json:"name"`
+	Description string      `json:"description"`
+	Params      []paramDesc `json:"params"`
+}
+
+// experimentList is the GET /v1/experiments reply: every registered
+// experiment with its parameter descriptors.
+func experimentList() []expBody {
 	var out []expBody
 	for _, e := range harness.Experiments() {
 		out = append(out, expBody{e.Name, e.Description, paramsFor(e.Uses)})
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 // workloadBody is one GET /v1/workloads entry: the dataset and reduce
@@ -102,7 +134,8 @@ type workloadBody struct {
 	ReduceKeepWords int    `json:"reduce_keep_words"`
 }
 
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
+// workloadList is the GET /v1/workloads reply: every benchmark kernel.
+func workloadList() []workloadBody {
 	var out []workloadBody
 	for _, b := range workloads.All() {
 		wb := workloadBody{
@@ -123,5 +156,5 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, wb)
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }

@@ -343,20 +343,43 @@ func KMeansCentroids() [][]float32 {
 	return datagen.Centers(datagen.NewRNG(centroidSeed+1), kernels.KMeansK, kernels.KMeansDims)
 }
 
-// All returns the eight benchmarks in the paper's Table IV order (ascending
-// instructions per input word).
-func All() []*Benchmark {
-	return []*Benchmark{
+// table holds the eight benchmarks in the paper's Table IV order (ascending
+// instructions per input word), built on first use. The set is fixed, so
+// every later All or ByName reads it instead of rebuilding kernel sources,
+// closures and reduce specs.
+var table = sync.OnceValue(func() []Benchmark {
+	var t []Benchmark
+	for _, b := range []*Benchmark{
 		CountBench(), SampleBench(), VarianceBench(), NBayesBench(),
 		ClassifyBench(), KMeansBench(), PCABench(), GDABench(),
+	} {
+		t = append(t, *b)
 	}
+	return t
+})
+
+// All returns the eight benchmarks in the paper's Table IV order. Each call
+// returns fresh copies: a caller may change a benchmark's fields without
+// reaching the table or another caller. What the fields point to — the
+// kernel, its program and constants, the ReduceSpec — is shared and must
+// not be written.
+func All() []*Benchmark {
+	bs := append([]Benchmark(nil), table()...)
+	out := make([]*Benchmark, len(bs))
+	for i := range bs {
+		out[i] = &bs[i]
+	}
+	return out
 }
 
-// ByName returns the named benchmark or an error.
+// ByName returns a copy of the named benchmark, shared like All's, or an
+// error.
 func ByName(name string) (*Benchmark, error) {
-	for _, b := range All() {
-		if b.Name() == name {
-			return b, nil
+	t := table()
+	for i := range t {
+		if t[i].Name() == name {
+			b := t[i]
+			return &b, nil
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)

@@ -44,7 +44,6 @@ package millipede
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/asm"
@@ -89,22 +88,14 @@ const (
 // Architectures lists the PNM architecture identifiers.
 func Architectures() []string { return harness.Architectures() }
 
-// benchNames caches the benchmark name list: the set is fixed at compile
-// time, so there is no reason to re-walk workloads.All() on every call.
-var benchNames struct {
-	once  sync.Once
-	names []string
-}
-
 // Benchmarks lists the eight BMLA benchmark names in the paper's Table IV
 // order. The returned slice is a fresh copy each call.
 func Benchmarks() []string {
-	benchNames.once.Do(func() {
-		for _, b := range workloads.All() {
-			benchNames.names = append(benchNames.names, b.Name())
-		}
-	})
-	return append([]string(nil), benchNames.names...)
+	var names []string
+	for _, b := range workloads.All() {
+		names = append(names, b.Name())
+	}
+	return names
 }
 
 // Result is one verified {architecture x benchmark} measurement. Its
