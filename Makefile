@@ -58,7 +58,9 @@ test:
 # GET/PUT/lease wire form against a model of the lease protocol: only
 # documented replies, a miss carries exactly one of a lease and
 # Retry-After, a granted or absent lease stores the body, a stale one
-# stores nothing). A failing input lands
+# stores nothing). Each smoke bounds the minimization of a new interesting
+# input to 1 s (go test's default of 60 s can spend most of a 10 s budget
+# shrinking one input at 0 execs/s). A failing input lands
 # in the package's testdata/fuzz and becomes part of the plain test run once
 # committed. Last, it vets and tests the bench/ module (millibench), which
 # imports the processor models and the harness and so breaks when their API
@@ -75,10 +77,10 @@ check:
 		./internal/multicore ./internal/cache ./internal/kernels \
 		./internal/datagen ./internal/workloads \
 		./internal/jobs ./internal/rescache ./internal/server ./internal/router ./internal/sla
-	$(GO) test -run '^$$' -fuzz FuzzAdvanceMatchesLockstep -fuzztime 20s ./internal/corelet
-	$(GO) test -run '^$$' -fuzz FuzzCanonicalID -fuzztime 10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzDecodeProgram -fuzztime 10s ./internal/asm
-	$(GO) test -run '^$$' -fuzz FuzzStoreWire -fuzztime 10s ./internal/rescache
+	$(GO) test -run '^$$' -fuzz FuzzAdvanceMatchesLockstep -fuzztime 20s -fuzzminimizetime 1s ./internal/corelet
+	$(GO) test -run '^$$' -fuzz FuzzCanonicalID -fuzztime 10s -fuzzminimizetime 1s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzDecodeProgram -fuzztime 10s -fuzzminimizetime 1s ./internal/asm
+	$(GO) test -run '^$$' -fuzz FuzzStoreWire -fuzztime 10s -fuzzminimizetime 1s ./internal/rescache
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
@@ -123,6 +125,7 @@ serve-demo:
 
 # cluster-demo smoke-tests the cluster topology: a shared result store, two
 # worker nodes mounting it, and the consistent-hash router in front. It
+# checks that the router relays both catalogs byte-identical to a worker's,
 # verifies the cluster-wide caching guarantee (an identical request POSTed
 # to both workers simulates exactly once — the second node hits the store
 # tier), that the router answers a repeated POST and result GET of the

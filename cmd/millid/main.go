@@ -9,9 +9,10 @@
 // The daemon runs one of three roles:
 //
 //	-role=worker (default)  the simulation node: job queue + worker pool +
-//	                        local LRU result cache; -store attaches the
-//	                        shared result tier so results computed anywhere
-//	                        in the cluster are hits here too
+//	                        job records that are its result cache; -store
+//	                        attaches the shared result tier so results
+//	                        computed anywhere in the cluster are hits here
+//	                        too
 //	-role=store             the shared result tier: a memcache-style
 //	                        in-memory store speaking GET/PUT/LEASE
 //	-role=router            the front tier: consistent-hash routing of jobs
@@ -69,7 +70,7 @@ func main() {
 	// Worker flags.
 	workers := flag.Int("workers", 0, "worker: simulation worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "worker: job queue capacity (0 = 4x workers)")
-	cacheEntries := flag.Int("cache", 256, "worker: local result cache entries (LRU), also the finished job records kept")
+	cacheEntries := flag.Int("cache", 256, "worker: finished job records kept, the result cache (least recently used dropped first)")
 	storeURL := flag.String("store", "", "worker: base URL of the shared result store (millid -role=store); empty = local cache only")
 	timeout := flag.Duration("timeout", 15*time.Minute, "worker: default per-job timeout (0 = none; requests may set timeout_ms)")
 	drainTimeout := flag.Duration("drain-timeout", time.Minute, "worker: how long to wait for in-flight jobs on shutdown before cancelling them")

@@ -101,9 +101,9 @@ func main() {
 	fmt.Print(fig.Render())
 	fmt.Println("p50/p99 are client-observed submit-to-done latencies; hist_* come from the")
 	fmt.Println("worker jobs histograms (power-of-two-ms buckets, upper-edge estimate);")
-	fmt.Println("hit_rate counts hits at every tier (the router's finished-job store, the")
-	fmt.Println("local LRU, the shared store), shared_frac is the shared store's share of")
-	fmt.Println("all hits; sims and errors are step totals.")
+	fmt.Println("hit_rate counts hits at every tier (the router's finished-job store, a")
+	fmt.Println("worker's job records, the shared store), shared_frac is the shared store's")
+	fmt.Println("share of all hits; sims and errors are step totals.")
 	os.Exit(0)
 }
 

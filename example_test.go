@@ -96,13 +96,15 @@ func ExampleWithTraceSink() {
 	// Output: true true
 }
 
-// Reproduce a paper figure at reduced scale and render it as a table.
-func ExampleFigure7() {
+// Reproduce a paper figure at reduced scale: Figure 7's speedup over
+// prefetch buffer counts, one row per benchmark.
+func ExampleRunExperiment_figure() {
 	cfg := millipede.DefaultConfig()
-	fig, err := millipede.Figure7(cfg, 0.02)
+	res, err := millipede.RunExperiment("fig7", cfg, millipede.WithScale(0.02))
 	if err != nil {
 		panic(err)
 	}
+	fig := res.Figures[0]
 	fmt.Println(len(fig.Rows) == 8, len(fig.Series) == 5)
 	// Output: true true
 }

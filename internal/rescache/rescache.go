@@ -1,22 +1,17 @@
-// Package rescache is the content-addressed result cache of the millid
+// Package rescache holds the content-addressed result caching of the millid
 // simulation service. Every simulation in this repository is deterministic —
 // the harness verifies each run against a golden reference and the BENCH
 // determinism gate pins its cycle counts bit-for-bit — so a result is fully
 // determined by its request: experiment name, architecture parameters,
 // input scale, and dataset seed. That makes results perfectly cacheable:
-// the cache keys entries by the SHA-256 of the canonical JSON encoding of
-// the request and stores the rendered result bytes in a bounded LRU.
+// Key is the SHA-256 of the canonical JSON encoding of the request, and
+// Cache is a bounded LRU of stored bytes by key.
 //
-// Concurrent identical requests are deduplicated singleflight-style: the
-// first Do for a key runs the computation, later callers for the same key
-// block and share the one result, so an in-flight simulation never runs
-// twice no matter how many clients ask for it. DoContext lets a joining
-// caller detach when its context ends (the leader keeps computing).
-//
-// The cache is optionally two-tier: behind the in-process LRU sits a
-// SharedTier — the cluster-wide memcache-style result store (see Store and
-// HTTPTier) — so a result computed on any millid node is a hit everywhere
-// and a node restart does not cold-start the cache.
+// Behind a worker's own job records sits an optional SharedTier — the
+// cluster-wide memcache-style result store (see Store and HTTPTier) — so a
+// result computed on any millid node is a hit everywhere and a node restart
+// does not cold-start. Fill is the one way a worker reads it: the tier's
+// value, or a computation published back to it.
 package rescache
 
 import (
@@ -43,7 +38,7 @@ func Key(req any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// SharedTier is the cluster-wide result store behind the local LRU. Get
+// SharedTier is the cluster-wide result store behind a worker. Get
 // returns the stored bytes, or on a miss may grant a fill lease: a token
 // the caller presents with Put so the store can tell the designated filler
 // from stragglers (memcache-style leases). An empty lease on a miss means
@@ -53,30 +48,60 @@ type SharedTier interface {
 	Put(ctx context.Context, key string, value []byte, lease string) error
 }
 
+// Fill returns key's value from the shared tier t, or computes it and
+// publishes it to t. shared reports that the tier answered. A nil t just
+// computes.
+//
+// When another node holds the fill lease, Fill gives it a bounded chance to
+// publish before computing the same thing here: duplicated work is only
+// wasted cycles, because results are deterministic, so after the grace
+// window it computes anyway. Tier errors degrade to a miss, and the publish
+// is best-effort: a store outage never fails the computation. A failed
+// computation publishes nothing.
+func Fill(ctx context.Context, t SharedTier, key string, compute func() ([]byte, error)) (value []byte, shared bool, err error) {
+	if t == nil {
+		value, err = compute()
+		return value, false, err
+	}
+	value, lease, ok, _ := t.Get(ctx, key)
+	for i := 0; !ok && lease == "" && i < leaseWaitRetries; i++ {
+		select {
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-time.After(leaseWaitStep):
+		}
+		value, lease, ok, _ = t.Get(ctx, key)
+	}
+	if ok {
+		return value, true, nil
+	}
+	if value, err = compute(); err == nil {
+		_ = t.Put(ctx, key, value, lease)
+	}
+	return value, false, err
+}
+
+// Lease-wait tuning: how long Fill waits on another node's fill lease
+// before duplicating the computation locally.
+const (
+	leaseWaitRetries = 3
+	leaseWaitStep    = 50 * time.Millisecond
+)
+
 type entry struct {
 	key   string
 	value []byte
 }
 
-type call struct {
-	done  chan struct{}
-	joins uint64 // followers that joined; accounted on the leader's outcome
-	value []byte
-	err   error
-}
-
-// Cache is a bounded LRU of computed results with singleflight deduplication
-// of in-flight computations and an optional shared second tier. The zero
-// value is not usable; call New.
+// Cache is a bounded LRU of stored bytes by key, safe for concurrent use.
+// The zero value is not usable; call New.
 type Cache struct {
-	mu       sync.Mutex
-	max      int
-	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
-	inflight map[string]*call
-	shared   SharedTier
+	mu    sync.Mutex
+	max   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 
-	hits, sharedHits, misses, evictions uint64
+	hits, misses, evictions uint64
 }
 
 // New returns a cache bounded to max entries (max <= 0 defaults to 128).
@@ -85,25 +110,14 @@ func New(max int) *Cache {
 		max = 128
 	}
 	return &Cache{
-		max:      max,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-		inflight: make(map[string]*call),
+		max:   max,
+		ll:    list.New(),
+		items: make(map[string]*list.Element),
 	}
 }
 
-// SetShared attaches the cluster-wide second tier. Call before serving; the
-// tier is consulted by cache-missing Do leaders and filled after successful
-// computations.
-func (c *Cache) SetShared(t SharedTier) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shared = t
-}
-
-// Get returns the locally cached bytes for key, marking the entry most
-// recently used. The returned slice is shared — callers must not mutate it.
-// Get never consults the shared tier (that is Do's job, under singleflight).
+// Get returns the bytes stored under key, marking the entry most recently
+// used. The returned slice is shared — callers must not mutate it.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -116,8 +130,11 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// put inserts under c.mu.
-func (c *Cache) put(key string, value []byte) {
+// Put stores value under key, evicting the least recently used entries
+// beyond the bound.
+func (c *Cache) Put(key string, value []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*entry).value = value
@@ -132,170 +149,20 @@ func (c *Cache) put(key string, value []byte) {
 	}
 }
 
-// Put stores value under key, evicting the least recently used entries
-// beyond the bound.
-func (c *Cache) Put(key string, value []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(key, value)
-}
-
-// Do is DoContext with a background context: joiners block until the leader
-// finishes.
-func (c *Cache) Do(key string, fn func() ([]byte, error)) (value []byte, cached bool, err error) {
-	return c.DoContext(context.Background(), key, fn)
-}
-
-// DoContext returns the cached bytes for key, or computes them with fn.
-// Identical concurrent calls run fn exactly once — the rest join the leader
-// and share its outcome. A joining caller whose ctx ends before the leader
-// finishes detaches and returns ctx.Err(); the leader keeps computing, so
-// the result still lands in the cache for everyone else.
-//
-// With a shared tier attached, a cache-missing leader first consults the
-// tier (a hit there counts as cached) and publishes successful computations
-// back to it, so identical requests hit cluster-wide.
-//
-// Stats: joins are accounted when the leader finishes — a join shares a hit
-// only if the leader actually produced a result; a failed leader counts its
-// joins as misses. Errors are not cached: a failed computation releases the
-// key so a later call may retry.
-func (c *Cache) DoContext(ctx context.Context, key string, fn func() ([]byte, error)) (value []byte, cached bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		v := el.Value.(*entry).value
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if cl, ok := c.inflight[key]; ok {
-		// Join the in-flight leader: the simulation runs once. The join is
-		// accounted as hit or miss by the leader's completion.
-		cl.joins++
-		c.mu.Unlock()
-		select {
-		case <-cl.done:
-			return cl.value, true, cl.err
-		case <-ctx.Done():
-			// Detach: the leader keeps running and will cache the result.
-			return nil, false, ctx.Err()
-		}
-	}
-	cl := &call{done: make(chan struct{})}
-	c.inflight[key] = cl
-	c.mu.Unlock()
-	return c.lead(ctx, key, cl, fn)
-}
-
-// errPanicked is what followers of a panicking leader observe. The panic
-// itself propagates out of the leader's DoContext after cleanup.
-var errPanicked = fmt.Errorf("rescache: computation panicked")
-
-// lead runs the singleflight leader: shared-tier lookup, the computation,
-// publication, and stats settlement. Completion is deferred so a panicking
-// fn still releases the key and unblocks joiners (with errPanicked) before
-// the panic propagates.
-func (c *Cache) lead(ctx context.Context, key string, cl *call, fn func() ([]byte, error)) (value []byte, cached bool, err error) {
-	completed := false
-	sharedHit := false
-	defer func() {
-		if !completed {
-			cl.value, cl.err = nil, errPanicked
-		}
-		c.mu.Lock()
-		delete(c.inflight, key)
-		if cl.err == nil {
-			c.put(key, cl.value)
-			c.hits += cl.joins // joins shared the leader's result
-		} else {
-			c.misses += cl.joins // joins shared the leader's failure
-		}
-		// The leader itself: a shared-tier hit, or a miss that computed.
-		if sharedHit {
-			c.sharedHits++
-		} else {
-			c.misses++
-		}
-		c.mu.Unlock()
-		close(cl.done)
-	}()
-
-	var lease string
-	if c.shared != nil {
-		var v []byte
-		var ok bool
-		v, lease, ok, _ = c.shared.Get(ctx, key) // tier errors degrade to a miss
-		if ok {
-			cl.value, cl.err = v, nil
-			completed, sharedHit = true, true
-			return v, true, nil
-		}
-		if lease == "" {
-			// Another node holds the fill lease: give it a bounded chance to
-			// publish before simulating the same thing here. Duplicated work
-			// is only wasted cycles — results are deterministic — so after
-			// the grace window we compute anyway.
-			for i := 0; i < leaseWaitRetries; i++ {
-				select {
-				case <-ctx.Done():
-					cl.err = ctx.Err()
-					completed = true
-					return nil, false, cl.err
-				case <-time.After(leaseWaitStep):
-				}
-				v, lease, ok, _ = c.shared.Get(ctx, key)
-				if ok {
-					cl.value, cl.err = v, nil
-					completed, sharedHit = true, true
-					return v, true, nil
-				}
-				if lease != "" {
-					break
-				}
-			}
-		}
-	}
-
-	cl.value, cl.err = fn()
-	completed = true
-	if cl.err == nil && c.shared != nil {
-		// Best-effort publish: a store outage must not fail the job.
-		_ = c.shared.Put(ctx, key, cl.value, lease)
-	}
-	return cl.value, false, cl.err
-}
-
-// Lease-wait tuning: how long a leader waits on another node's fill lease
-// before duplicating the computation locally.
-const (
-	leaseWaitRetries = 3
-	leaseWaitStep    = 50 * time.Millisecond
-)
-
 // Stats is a point-in-time view of the cache's counters.
 type Stats struct {
-	Entries int
-	// Hits counts local LRU hits plus singleflight joins whose leader
-	// succeeded.
-	Hits uint64
-	// SharedHits counts results served from the shared tier (cluster-wide
-	// hits that missed the local LRU).
-	SharedHits uint64
-	// Misses counts lookups that found nothing anywhere: computing leaders
-	// (successful or not) and joins whose leader failed.
+	Entries   int
+	Hits      uint64
 	Misses    uint64
 	Evictions uint64
 }
 
-// HitRate returns the fraction of lookups satisfied by either tier, or 0
-// before any lookup.
+// HitRate returns the fraction of lookups that hit, or 0 before any lookup.
 func (s Stats) HitRate() float64 {
-	total := s.Hits + s.SharedHits + s.Misses
-	if total == 0 {
+	if s.Hits+s.Misses == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.SharedHits) / float64(total)
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // Stats returns the current counters.
@@ -303,10 +170,9 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Entries:    c.ll.Len(),
-		Hits:       c.hits,
-		SharedHits: c.sharedHits,
-		Misses:     c.misses,
-		Evictions:  c.evictions,
+		Entries:   c.ll.Len(),
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,194 +66,23 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestDoSingleflight: N concurrent Do calls for one key run fn exactly once
-// and all see the same bytes.
-func TestDoSingleflight(t *testing.T) {
+// TestGetPutStats: a Get before the Put misses, a Get after it hits, and
+// the hit rate is hits over lookups.
+func TestGetPutStats(t *testing.T) {
 	c := New(8)
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	const n = 16
-	results := make([][]byte, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		go func() {
-			defer wg.Done()
-			v, _, err := c.Do("k", func() ([]byte, error) {
-				calls.Add(1)
-				<-gate // hold the leader so the others pile up in-flight
-				return []byte("result"), nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i] = v
-		}()
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("hit before any Put")
 	}
-	// Let the leader start and the followers enqueue; the gate guarantees
-	// nobody can finish before all Do calls are issued. (Stats settle at
-	// leader completion, so the observable for "the leader is leading" is
-	// fn having been entered.)
-	for calls.Load() == 0 {
-		runtime.Gosched()
-	}
-	close(gate)
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("fn ran %d times, want 1", got)
-	}
-	for i, v := range results {
-		if string(v) != "result" {
-			t.Fatalf("caller %d saw %q", i, v)
-		}
-	}
-	if st := c.Stats(); st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (leader only)", st.Misses)
-	}
-}
-
-// TestDoErrorNotCached: a failing computation is retried by the next Do.
-func TestDoErrorNotCached(t *testing.T) {
-	c := New(8)
-	boom := errors.New("boom")
-	_, _, err := c.Do("k", func() ([]byte, error) { return nil, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
-	}
-	v, cached, err := c.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || cached || string(v) != "ok" {
-		t.Fatalf("retry: v=%q cached=%v err=%v", v, cached, err)
-	}
-	if _, cached, _ := c.Do("k", nil); !cached {
-		t.Fatal("successful result was not cached")
-	}
-}
-
-// TestDoCachedHit: a completed Do satisfies later calls from the cache
-// without invoking fn.
-func TestDoCachedHit(t *testing.T) {
-	c := New(8)
-	if _, _, err := c.Do("k", func() ([]byte, error) { return []byte("v"), nil }); err != nil {
-		t.Fatal(err)
-	}
-	v, cached, err := c.Do("k", func() ([]byte, error) {
-		t.Fatal("fn ran despite cached entry")
-		return nil, nil
-	})
-	if err != nil || !cached || string(v) != "v" {
-		t.Fatalf("v=%q cached=%v err=%v", v, cached, err)
+	c.Put("k", []byte("v"))
+	if v, ok := c.Get("k"); !ok || string(v) != "v" {
+		t.Fatalf("after Put: v=%q ok=%v", v, ok)
 	}
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 entry", st)
 	}
 	if got := st.HitRate(); got != 0.5 {
 		t.Fatalf("hit rate = %g, want 0.5", got)
-	}
-}
-
-// joinCount reads the in-flight join counter for key (white-box: the tests
-// need to know a follower has actually parked before acting on it).
-func joinCount(c *Cache, key string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cl, ok := c.inflight[key]; ok {
-		return cl.joins
-	}
-	return 0
-}
-
-// TestDoContextCancelledJoin: a joiner whose context ends detaches with
-// ctx.Err() while the leader keeps computing and still caches the result.
-func TestDoContextCancelledJoin(t *testing.T) {
-	c := New(8)
-	gate := make(chan struct{})
-	var calls atomic.Int64
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		v, _, err := c.Do("k", func() ([]byte, error) {
-			calls.Add(1)
-			<-gate
-			return []byte("v"), nil
-		})
-		if err != nil || string(v) != "v" {
-			t.Errorf("leader: v=%q err=%v", v, err)
-		}
-	}()
-	for calls.Load() == 0 {
-		runtime.Gosched()
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	joinErr := make(chan error, 1)
-	go func() {
-		_, _, err := c.DoContext(ctx, "k", func() ([]byte, error) {
-			t.Error("joiner ran fn despite in-flight leader")
-			return nil, nil
-		})
-		joinErr <- err
-	}()
-	for joinCount(c, "k") == 0 { // the joiner is parked in its select
-		runtime.Gosched()
-	}
-	cancel()
-	if err := <-joinErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled join: got %v, want context.Canceled", err)
-	}
-
-	close(gate)
-	<-leaderDone
-	if calls.Load() != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls.Load())
-	}
-	if _, cached, _ := c.Do("k", nil); !cached {
-		t.Fatal("leader's result did not land in the cache")
-	}
-	// The detached join is settled on the leader's success: 1 join-hit plus
-	// the final Get hit; the leader itself is the one miss.
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want 2 hits / 1 miss", st)
-	}
-}
-
-// TestDoFailedLeaderJoinStats: joins of a failing leader share its error and
-// are accounted as misses, not hits.
-func TestDoFailedLeaderJoinStats(t *testing.T) {
-	c := New(8)
-	gate := make(chan struct{})
-	boom := errors.New("boom")
-	var calls atomic.Int64
-	leaderErr := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do("k", func() ([]byte, error) {
-			calls.Add(1)
-			<-gate
-			return nil, boom
-		})
-		leaderErr <- err
-	}()
-	for calls.Load() == 0 {
-		runtime.Gosched()
-	}
-	joinRes := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do("k", nil) // fn is never consulted by a joiner
-		joinRes <- err
-	}()
-	for joinCount(c, "k") == 0 {
-		runtime.Gosched()
-	}
-	close(gate)
-	if err := <-leaderErr; !errors.Is(err, boom) {
-		t.Fatalf("leader: got %v, want boom", err)
-	}
-	if err := <-joinRes; !errors.Is(err, boom) {
-		t.Fatalf("join: got %v, want boom", err)
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
-		t.Fatalf("stats = %+v, want 0 hits / 2 misses (leader + failed join)", st)
 	}
 }
 
@@ -289,29 +117,34 @@ func (f *fakeTier) Put(ctx context.Context, key string, value []byte, lease stri
 	return nil
 }
 
-// TestTwoTierSharedHit: a local miss that the shared tier satisfies counts
-// as a SharedHit, caches locally, and never invokes fn.
+// failTier is a shared tier whose every call fails, as an unreachable
+// store's does.
+type failTier struct{ gets, puts atomic.Int64 }
+
+func (f *failTier) Get(context.Context, string) ([]byte, string, bool, error) {
+	f.gets.Add(1)
+	return nil, "", false, errors.New("store down")
+}
+
+func (f *failTier) Put(context.Context, string, []byte, string) error {
+	f.puts.Add(1)
+	return errors.New("store down")
+}
+
+// TestTwoTierSharedHit: a value the shared tier holds is returned as a
+// shared hit without computing.
 func TestTwoTierSharedHit(t *testing.T) {
 	tier := newFakeTier("L")
 	tier.values["k"] = []byte("remote")
-	c := New(8)
-	c.SetShared(tier)
-	v, cached, err := c.Do("k", func() ([]byte, error) {
-		t.Fatal("fn ran despite shared-tier hit")
+	v, shared, err := Fill(context.Background(), tier, "k", func() ([]byte, error) {
+		t.Fatal("computed despite a shared-tier hit")
 		return nil, nil
 	})
-	if err != nil || !cached || string(v) != "remote" {
-		t.Fatalf("v=%q cached=%v err=%v", v, cached, err)
+	if err != nil || !shared || string(v) != "remote" {
+		t.Fatalf("v=%q shared=%v err=%v", v, shared, err)
 	}
-	if st := c.Stats(); st.SharedHits != 1 || st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("stats = %+v, want exactly 1 shared hit", st)
-	}
-	// The value is now in the local LRU: the next Do is a plain local hit.
-	if _, cached, _ := c.Do("k", nil); !cached {
-		t.Fatal("shared-tier result was not cached locally")
-	}
-	if st := c.Stats(); st.Hits != 1 {
-		t.Fatalf("stats = %+v, want 1 local hit after tier fill", st)
+	if tier.gets != 1 || len(tier.puts) != 0 {
+		t.Fatalf("tier saw %d gets and %d puts, want 1 and 0", tier.gets, len(tier.puts))
 	}
 }
 
@@ -319,11 +152,9 @@ func TestTwoTierSharedHit(t *testing.T) {
 // and publishes the result back under the granted lease.
 func TestTwoTierMissComputesAndPublishes(t *testing.T) {
 	tier := newFakeTier("L1")
-	c := New(8)
-	c.SetShared(tier)
-	v, cached, err := c.Do("k", func() ([]byte, error) { return []byte("computed"), nil })
-	if err != nil || cached || string(v) != "computed" {
-		t.Fatalf("v=%q cached=%v err=%v", v, cached, err)
+	v, shared, err := Fill(context.Background(), tier, "k", func() ([]byte, error) { return []byte("computed"), nil })
+	if err != nil || shared || string(v) != "computed" {
+		t.Fatalf("v=%q shared=%v err=%v", v, shared, err)
 	}
 	tier.mu.Lock()
 	stored, lease := string(tier.values["k"]), tier.puts["k"]
@@ -331,31 +162,80 @@ func TestTwoTierMissComputesAndPublishes(t *testing.T) {
 	if stored != "computed" || lease != "L1" {
 		t.Fatalf("tier got %q under lease %q, want computed under L1", stored, lease)
 	}
-	if st := c.Stats(); st.Misses != 1 || st.SharedHits != 0 {
-		t.Fatalf("stats = %+v, want 1 miss", st)
+}
+
+// TestFillErrorNotPublished: a failed computation returns its error and
+// publishes nothing, so the next Fill computes again.
+func TestFillErrorNotPublished(t *testing.T) {
+	tier := newFakeTier("L")
+	boom := errors.New("boom")
+	if _, _, err := Fill(context.Background(), tier, "k", func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("got %v, want boom", err)
+	}
+	if len(tier.puts) != 0 {
+		t.Fatalf("a failed computation was published: %v", tier.puts)
+	}
+	v, shared, err := Fill(context.Background(), tier, "k", func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || shared || string(v) != "ok" {
+		t.Fatalf("retry: v=%q shared=%v err=%v", v, shared, err)
 	}
 }
 
-// TestTwoTierLeaseWait: with the fill lease held elsewhere, the leader backs
-// off and picks up the value the other node publishes instead of recomputing.
+// TestTwoTierLeaseWait: with the fill lease held elsewhere, Fill backs off
+// and picks up the value the other node publishes instead of computing.
 func TestTwoTierLeaseWait(t *testing.T) {
 	tier := newFakeTier("") // empty lease = fill in flight elsewhere
-	c := New(8)
-	c.SetShared(tier)
 	go func() {
-		// "The other node" publishes during the leader's grace window.
+		// "The other node" publishes during the grace window.
 		time.Sleep(leaseWaitStep / 2)
 		tier.Put(context.Background(), "k", []byte("theirs"), "")
 	}()
-	v, cached, err := c.Do("k", func() ([]byte, error) {
-		t.Error("fn ran: the leader should have waited out the lease")
+	v, shared, err := Fill(context.Background(), tier, "k", func() ([]byte, error) {
+		t.Error("computed: Fill should have waited out the lease")
 		return nil, nil
 	})
-	if err != nil || !cached || string(v) != "theirs" {
-		t.Fatalf("v=%q cached=%v err=%v", v, cached, err)
+	if err != nil || !shared || string(v) != "theirs" {
+		t.Fatalf("v=%q shared=%v err=%v", v, shared, err)
 	}
-	if st := c.Stats(); st.SharedHits != 1 {
-		t.Fatalf("stats = %+v, want 1 shared hit", st)
+}
+
+// TestTwoTierLeaseWaitBounded: when the lease holder never publishes, Fill
+// computes after the grace window and publishes without a lease; a context
+// that ends during the wait ends the Fill with its error.
+func TestTwoTierLeaseWaitBounded(t *testing.T) {
+	tier := newFakeTier("")
+	v, shared, err := Fill(context.Background(), tier, "k", func() ([]byte, error) { return []byte("mine"), nil })
+	if err != nil || shared || string(v) != "mine" {
+		t.Fatalf("v=%q shared=%v err=%v", v, shared, err)
+	}
+	if tier.gets != 1+leaseWaitRetries {
+		t.Errorf("tier saw %d gets, want %d", tier.gets, 1+leaseWaitRetries)
+	}
+	if lease, ok := tier.puts["k"]; !ok || lease != "" {
+		t.Errorf("published under lease %q (published %v), want no lease", lease, ok)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := Fill(ctx, newFakeTier(""), "k", func() ([]byte, error) {
+		t.Error("computed after the context ended")
+		return nil, nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait: got %v, want context.Canceled", err)
+	}
+}
+
+// TestTwoTierErrors: an unreachable tier degrades to a miss — Fill waits
+// out the grace window as for a held lease, then computes and returns the
+// value despite the failed publish.
+func TestTwoTierErrors(t *testing.T) {
+	tier := &failTier{}
+	v, shared, err := Fill(context.Background(), tier, "k", func() ([]byte, error) { return []byte("local"), nil })
+	if err != nil || shared || string(v) != "local" {
+		t.Fatalf("v=%q shared=%v err=%v", v, shared, err)
+	}
+	if g, p := tier.gets.Load(), tier.puts.Load(); g != 1+leaseWaitRetries || p != 1 {
+		t.Errorf("tier saw %d gets and %d puts, want %d and 1", g, p, 1+leaseWaitRetries)
 	}
 }
 

@@ -1,5 +1,5 @@
 // The shared result tier: a memcache-style in-memory store that any number
-// of millid worker nodes mount behind their local LRU (Cache.SetShared), so
+// of millid worker nodes mount behind their job records (through Fill), so
 // a simulation computed on one node is a cluster-wide hit and a restarted
 // node does not cold-start. The store speaks a three-verb protocol —
 // GET / PUT / LEASE — where the lease rides on GET misses: the first node

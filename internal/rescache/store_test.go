@@ -1,6 +1,6 @@
 // Tests for the shared result tier: the native lease protocol, the HTTP
 // wire form (via HTTPTier against a real listener), and the cluster-wide
-// guarantee — two independent caches mounting one store simulate once.
+// guarantee — two nodes filling through one store simulate once.
 package rescache
 
 import (
@@ -104,26 +104,24 @@ func TestStoreWireForm(t *testing.T) {
 	}
 }
 
-// TestClusterWideHit: two caches (two "nodes") mounting one store compute a
-// key once — the second node's Do is a shared-tier hit, fn untouched.
+// TestClusterWideHit: two nodes filling one key through one store compute
+// it once — the second node's Fill is a shared-tier hit, its computation
+// untouched.
 func TestClusterWideHit(t *testing.T) {
 	st := NewStore(16, time.Minute)
-	nodeA, nodeB := New(8), New(8)
-	nodeA.SetShared(st)
-	nodeB.SetShared(st)
-
-	v, cached, err := nodeA.Do("k", func() ([]byte, error) { return []byte("once"), nil })
-	if err != nil || cached || string(v) != "once" {
-		t.Fatalf("node A: v=%q cached=%v err=%v", v, cached, err)
+	ctx := context.Background()
+	v, shared, err := Fill(ctx, st, "k", func() ([]byte, error) { return []byte("once"), nil })
+	if err != nil || shared || string(v) != "once" {
+		t.Fatalf("node A: v=%q shared=%v err=%v", v, shared, err)
 	}
-	v, cached, err = nodeB.Do("k", func() ([]byte, error) {
+	v, shared, err = Fill(ctx, st, "k", func() ([]byte, error) {
 		t.Fatal("node B recomputed a cluster-cached result")
 		return nil, nil
 	})
-	if err != nil || !cached || string(v) != "once" {
-		t.Fatalf("node B: v=%q cached=%v err=%v", v, cached, err)
+	if err != nil || !shared || string(v) != "once" {
+		t.Fatalf("node B: v=%q shared=%v err=%v", v, shared, err)
 	}
-	if st := nodeB.Stats(); st.SharedHits != 1 || st.Misses != 0 {
-		t.Fatalf("node B stats = %+v, want 1 shared hit / 0 misses", st)
+	if s := st.Stats(); s.Hits != 1 || s.Misses != 1 || st.puts.Load() != 1 {
+		t.Fatalf("store stats = %+v, %d puts; want 1 hit, 1 miss, 1 put", s, st.puts.Load())
 	}
 }

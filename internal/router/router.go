@@ -2,7 +2,7 @@
 // service: a consistent-hashing reverse proxy that spreads jobs across N
 // worker nodes. The routing key is the job's deterministic content-hash id
 // (server.CanonicalID), so identical requests always land on the same node
-// — that node's singleflight and local LRU then collapse them onto one
+// — that node's job record for the id then collapses them onto one
 // simulation, and the shared store tier makes the result a hit on every
 // other node too.
 //
@@ -194,9 +194,8 @@ func New(o Options) *Router {
 		rt.answerStatus(w, r, r.PathValue("id"), nil)
 	})
 	rt.mux.HandleFunc("GET /v1/jobs/{id}/result", rt.answerResult)
-	rt.mux.HandleFunc("GET /v1/experiments", func(w http.ResponseWriter, r *http.Request) {
-		rt.forwardAny(w, r)
-	})
+	rt.mux.HandleFunc("GET /v1/experiments", rt.forwardAny)
+	rt.mux.HandleFunc("GET /v1/workloads", rt.forwardAny)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealth)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 
@@ -235,7 +234,7 @@ func (rt *Router) Metrics() metrics.Snapshot { return rt.reg.Snapshot() }
 
 // HitRates reads a cluster's cache behaviour from a snapshot that sums the
 // router's and the workers' counters. hitRate is the hits at any tier (the
-// router's finished-job store, a worker's local LRU, the shared store) over
+// router's finished-job store, a worker's job records, the shared store) over
 // those hits plus the workers' misses; sharedFrac is the shared store's
 // share of all hits. Both are 0 before any lookup, and when s holds no
 // worker counters: the router's alone cannot tell how many lookups missed.

@@ -229,3 +229,16 @@ func TestHealthProbeGatesDrainingNode(t *testing.T) {
 		t.Errorf("router /healthz body %q (err %v), want nodes_healthy 1", rec.Body.String(), err)
 	}
 }
+
+// TestRouterServesCatalogs: both catalog routes reach a worker through the
+// router, which relays the worker's code, Content-Type and bytes.
+func TestRouterServesCatalogs(t *testing.T) {
+	rt, ws, _ := cluster(t, quickRun)
+	for _, path := range []string{"/v1/experiments", "/v1/workloads"} {
+		got, want := call(rt, http.MethodGet, path, ""), call(ws[0], http.MethodGet, path, "")
+		if want.code != http.StatusOK || got != want {
+			t.Errorf("GET %s through the router: HTTP %d %q, %d bytes; a worker answers HTTP %d %q, %d bytes",
+				path, got.code, got.ct, len(got.body), want.code, want.ct, len(want.body))
+		}
+	}
+}

@@ -16,12 +16,24 @@ func (s *Server) registerMetrics() {
 	r.Counter("server.jobs_failed", s.failed.Load)
 	r.Counter("server.jobs_panicked", s.pool.Panicked)
 	r.Counter("server.sims_run", s.sims.Load)
-	r.Counter("server.cache_hits", func() uint64 { return s.cache.Stats().Hits })
-	r.Counter("server.cache_shared_hits", func() uint64 { return s.cache.Stats().SharedHits })
-	r.Counter("server.cache_misses", func() uint64 { return s.cache.Stats().Misses })
-	r.Counter("server.cache_evictions", func() uint64 { return s.cache.Stats().Evictions })
-	r.Gauge("server.cache_entries", func() float64 { return float64(s.cache.Stats().Entries) })
-	r.Gauge("server.cache_hit_rate", func() float64 { return s.cache.Stats().HitRate() })
+	// The result cache is the finished job records: cache_entries counts
+	// them and cache_evictions the ones dropped at the bound.
+	r.Counter("server.cache_hits", s.hits.Load)
+	r.Counter("server.cache_shared_hits", s.sharedHits.Load)
+	r.Counter("server.cache_misses", s.misses.Load)
+	r.Counter("server.cache_evictions", s.evictions.Load)
+	r.Gauge("server.cache_entries", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(s.finished.Len())
+	})
+	r.Gauge("server.cache_hit_rate", func() float64 {
+		hits := float64(s.hits.Load() + s.sharedHits.Load())
+		if total := hits + float64(s.misses.Load()); total > 0 {
+			return hits / total
+		}
+		return 0
+	})
 	r.Gauge("server.draining", func() float64 {
 		if s.draining.Load() {
 			return 1

@@ -2,10 +2,12 @@
 // experiment registry that turns the simulator from a batch tool into a
 // servable backend. Requests are simulation jobs — an experiment name plus
 // architecture parameters, input scale, and seed — executed on a bounded
-// worker pool (internal/jobs) and memoized in a content-addressed LRU result
-// cache (internal/rescache). Because every simulation is deterministic, the
-// SHA-256 of the canonical request doubles as the job id: identical requests
-// share one job, one simulation, and byte-identical result bodies.
+// worker pool (internal/jobs). Because every simulation is deterministic,
+// the SHA-256 of the canonical request (rescache.Key) doubles as the job id:
+// identical requests share one job record, one simulation, and
+// byte-identical result bodies. The finished job records are the worker's
+// result cache (at most Options.CacheEntries, least recently used dropped
+// first), in front of an optional cluster-wide shared tier (rescache.Fill).
 //
 // Routes:
 //
@@ -23,6 +25,7 @@ package server
 
 import (
 	"bytes"
+	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -99,13 +102,14 @@ type Options struct {
 	Workers int
 	// QueueCapacity bounds the job queue; 0 means 4x workers.
 	QueueCapacity int
-	// CacheEntries bounds the result cache, and the finished (done or
-	// failed) job records, which drop oldest first; 0 means 256.
+	// CacheEntries bounds the finished (done or failed) job records, which
+	// are the worker's result cache: beyond it the least recently used is
+	// dropped. 0 means 256.
 	CacheEntries int
 	// DefaultTimeout bounds jobs that do not set timeout_ms; 0 means no
 	// default bound.
 	DefaultTimeout time.Duration
-	// Shared mounts the cluster-wide result tier behind the local LRU (the
+	// Shared mounts the cluster-wide result tier behind the job records (the
 	// millid store daemon, via rescache.NewHTTPTier, or an in-process
 	// rescache.Store); nil keeps the cache single-tier.
 	Shared rescache.SharedTier
@@ -130,7 +134,7 @@ type jobRecord struct {
 	Experiment  string
 	Status      jobStatus
 	Error       string
-	Cached      bool // satisfied from the result cache without simulating
+	Cached      bool // satisfied from the shared tier without simulating
 	SubmittedAt time.Time
 	StartedAt   time.Time
 	FinishedAt  time.Time
@@ -140,6 +144,9 @@ type jobRecord struct {
 	// changes again: rendered once, it answers every later POST hit and
 	// GET /v1/jobs/{id}.
 	statusJSON []byte
+	// elem is the record's place among the finished records once it has
+	// finished, nil before.
+	elem *list.Element
 }
 
 // Server implements the millid HTTP API. Create with New; it is an
@@ -147,7 +154,7 @@ type jobRecord struct {
 type Server struct {
 	base     arch.Params
 	pool     *jobs.Pool
-	cache    *rescache.Cache
+	shared   rescache.SharedTier
 	reg      *metrics.Registry
 	run      Runner
 	timeout  time.Duration
@@ -160,16 +167,18 @@ type Server struct {
 	mu       sync.Mutex
 	jobsByID map[string]*jobRecord
 	seq      uint64
-	// finished holds the records that finished, at most maxFinished
-	// (CacheEntries); once it is full, finished[next] is the oldest.
-	finished    []*jobRecord
+	// finished holds the finished records, most recently used first, at
+	// most maxFinished (CacheEntries) of them.
+	finished    *list.List
 	maxFinished int
-	next        int
 
 	draining atomic.Bool
-	sims     atomic.Uint64 // simulations actually executed (cache misses)
+	sims     atomic.Uint64 // simulations actually executed
 	done     atomic.Uint64
 	failed   atomic.Uint64
+	// Result cache lookups: a POST answered by a done record is a hit, an
+	// executed job a shared hit or a miss.
+	hits, sharedHits, misses, evictions atomic.Uint64
 
 	mux *http.ServeMux
 }
@@ -185,16 +194,14 @@ func New(base arch.Params, o Options) *Server {
 	s := &Server{
 		base:        base,
 		pool:        jobs.New(o.Workers, o.QueueCapacity),
-		cache:       rescache.New(cacheEntries),
+		shared:      o.Shared,
 		run:         o.Runner,
 		timeout:     o.DefaultTimeout,
 		expNames:    map[string]bool{},
 		jobsByID:    map[string]*jobRecord{},
+		finished:    list.New(),
 		maxFinished: cacheEntries,
 		mux:         http.NewServeMux(),
-	}
-	if o.Shared != nil {
-		s.cache.SetShared(o.Shared)
 	}
 	if s.run == nil {
 		s.run = func(ctx context.Context, req Request) (harness.ExperimentResult, error) {
@@ -290,7 +297,7 @@ func (s *Server) normalize(jr jobRequest) (Request, time.Duration, error) {
 // CanonicalID returns the deterministic job id a millid node would assign to
 // this POST /v1/jobs body over the given base parameters. The cluster router
 // uses it as the consistent-hashing key, so a request lands on the same node
-// that keys its job record and cache entry by it.
+// that keys its job record by it.
 func CanonicalID(base arch.Params, body []byte) (string, error) {
 	canonOnce.Do(func() {
 		canonNames = map[string]bool{}
@@ -485,32 +492,30 @@ func (s *Server) replyStatus(w http.ResponseWriter, code int, rec *jobRecord) {
 	writeBody(w, code, data)
 }
 
-// retire notes that rec has finished. Once CacheEntries finished records
-// are held it drops the oldest, unless a resubmission has replaced it; a
-// later POST of a dropped id takes the full path. The caller holds s.mu.
+// retire puts rec, just finished, first among the finished records and
+// drops the least recently used beyond CacheEntries; a later POST of a
+// dropped id takes the full path. The caller holds s.mu.
 func (s *Server) retire(rec *jobRecord) {
-	if len(s.finished) < s.maxFinished {
-		s.finished = append(s.finished, rec)
-		return
-	}
-	if old := s.finished[s.next]; s.jobsByID[old.ID] == old {
+	rec.elem = s.finished.PushFront(rec)
+	for s.finished.Len() > s.maxFinished {
+		old := s.finished.Remove(s.finished.Back()).(*jobRecord)
 		delete(s.jobsByID, old.ID)
+		s.evictions.Add(1)
 	}
-	s.finished[s.next] = rec
-	s.next = (s.next + 1) % len(s.finished)
 }
 
 // live returns id's record when the identical request is already queued,
-// running, or done, so a POST of it is deduplicated; a done record's touch
-// counts as a cache hit. It returns nil for an unknown or failed id. The
-// caller holds s.mu.
+// running, or done, so a POST of it is deduplicated; a done record answering
+// it is a cache hit and becomes the most recently used. It returns nil for
+// an unknown or failed id. The caller holds s.mu.
 func (s *Server) live(id string) *jobRecord {
 	rec, ok := s.jobsByID[id]
 	if !ok || rec.Status == statusFailed {
 		return nil
 	}
 	if rec.Status == statusDone {
-		s.cache.Get(id)
+		s.hits.Add(1)
+		s.finished.MoveToFront(rec.elem)
 	}
 	return rec
 }
@@ -563,18 +568,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// New id — or a retry of a failed job (timeouts are operational, not
-	// deterministic, so a failed id may be resubmitted).
-	if cached, ok := s.cache.Get(id); ok {
-		s.seq++
-		rec := &jobRecord{
-			ID: id, Experiment: req.Experiment, Status: statusDone, Cached: true,
-			SubmittedAt: time.Now(), FinishedAt: time.Now(), Result: cached, seq: s.seq,
-		}
-		s.jobsByID[id] = rec
-		s.retire(rec)
-		s.done.Add(1)
-		s.replyStatus(w, http.StatusOK, rec)
-		return
+	// deterministic, so a failed id may be resubmitted), whose new record
+	// replaces the failed one.
+	if failed, ok := s.jobsByID[id]; ok {
+		s.finished.Remove(failed.elem)
 	}
 	s.seq++
 	rec := &jobRecord{
@@ -582,7 +579,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Status: statusQueued, SubmittedAt: time.Now(), seq: s.seq,
 	}
 	s.jobsByID[id] = rec
-	err = s.pool.Submit(jobs.Job{ID: id, Timeout: timeout, Run: func(ctx context.Context) { s.execute(ctx, id, req) }})
+	err = s.pool.Submit(jobs.Job{ID: id, Timeout: timeout, Run: func(ctx context.Context) { s.execute(ctx, rec, req) }})
 	if err != nil {
 		delete(s.jobsByID, id)
 		s.mu.Unlock()
@@ -600,24 +597,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.replyStatus(w, http.StatusAccepted, rec)
 }
 
-// execute runs one accepted job's canonical request on a pool worker.
-func (s *Server) execute(ctx context.Context, id string, req Request) {
+// execute runs one accepted job's canonical request on a pool worker: the
+// shared tier's result, or a simulation published to it. A record is
+// queued or running at most once per id, so each id runs here at most once
+// at a time.
+func (s *Server) execute(ctx context.Context, rec *jobRecord, req Request) {
 	s.mu.Lock()
-	rec, ok := s.jobsByID[id]
-	if !ok { // unreachable: records outlive their queue entries
-		s.mu.Unlock()
-		return
-	}
 	rec.Status = statusRunning
 	rec.StartedAt = time.Now()
 	s.mu.Unlock()
 
-	// DoContext: if this job's ctx ends while an identical computation is in
-	// flight (a resubmitted id joining its predecessor), the join detaches
-	// instead of blocking past its deadline; the leader keeps simulating.
 	// A panicking simulation is converted to a job failure here so the
 	// record reaches a terminal state — the pool's recover is the backstop.
-	body, cached, err := s.cache.DoContext(ctx, id, func() (out []byte, rerr error) {
+	body, shared, err := rescache.Fill(ctx, s.shared, rec.ID, func() (out []byte, rerr error) {
 		defer func() {
 			if r := recover(); r != nil {
 				out, rerr = nil, fmt.Errorf("simulation panicked: %v", r)
@@ -628,8 +620,13 @@ func (s *Server) execute(ctx context.Context, id string, req Request) {
 		if err != nil {
 			return nil, err
 		}
-		return renderResult(id, req, res)
+		return renderResult(rec.ID, req, res)
 	})
+	if shared {
+		s.sharedHits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -642,7 +639,7 @@ func (s *Server) execute(ctx context.Context, id string, req Request) {
 		return
 	}
 	rec.Status = statusDone
-	rec.Cached = cached
+	rec.Cached = shared
 	rec.Result = body
 	s.done.Add(1)
 }
@@ -676,8 +673,7 @@ type resultBody struct {
 }
 
 // renderResult builds the stored result bytes for a completed experiment:
-// one slice that the result cache, the shared store and the job record all
-// keep.
+// one slice that the job record and the shared store both keep.
 func renderResult(id string, req Request, res harness.ExperimentResult) ([]byte, error) {
 	body := resultBody{ID: id, Experiment: req.Experiment, Request: req, Text: res.Text, Render: res.Render()}
 	var rows, series int

@@ -567,8 +567,8 @@ func TestDrainTimeout(t *testing.T) {
 
 // TestSharedTierClusterHit: two servers ("nodes") mounting one in-process
 // store simulate an identical request exactly once — the second node serves
-// it from the shared tier (sims_run 0, cache_shared_hits 1) with a
-// byte-identical result body.
+// it from the shared tier (sims_run 0, cache_shared_hits 1 and no miss)
+// with a byte-identical result body.
 func TestSharedTierClusterHit(t *testing.T) {
 	store := rescache.NewStore(16, time.Minute)
 	var sims atomic.Int64
@@ -610,6 +610,12 @@ func TestSharedTierClusterHit(t *testing.T) {
 	if v := metricValue(t, tsB, "server.cache_shared_hits"); v != 1 {
 		t.Errorf("node B server.cache_shared_hits = %g, want 1", v)
 	}
+	for node, ts := range map[string]*httptest.Server{"A": tsA, "B": tsB} {
+		want := map[string]float64{"A": 1, "B": 0}[node]
+		if v := metricValue(t, ts, "server.cache_misses"); v != want {
+			t.Errorf("node %s server.cache_misses = %g, want %g", node, v, want)
+		}
+	}
 	if !bytes.Equal(bodyA, bodyB) {
 		t.Error("result bodies differ across nodes for one job id")
 	}
@@ -633,8 +639,8 @@ func (k *keptTier) Put(_ context.Context, _ string, value []byte, _ string) erro
 }
 
 // TestStoredResultHasNoSpareCapacity: the result body a job stores, the one
-// slice its record, the result cache and the shared store all keep, is
-// exactly as long as its capacity, and it is the body GET serves.
+// slice its record and the shared store both keep, is exactly as long as
+// its capacity, and it is the body GET serves.
 func TestStoredResultHasNoSpareCapacity(t *testing.T) {
 	tier := &keptTier{}
 	_, ts := newTestServer(t, server.Options{Workers: 1, Shared: tier, Runner: func(ctx context.Context, req server.Request) (harness.ExperimentResult, error) {
@@ -688,9 +694,9 @@ func TestPanickingSimulationFailsJob(t *testing.T) {
 }
 
 // TestFinishedRecordsBounded: a worker keeps at most CacheEntries finished
-// records, oldest dropped first, never drops a running one, and answers a
-// POST of a dropped id through the full path: here a second simulation,
-// since the result cache has dropped it too.
+// records, least recently used dropped first, never drops a running one,
+// and answers a POST of a dropped id through the full path: here a second
+// simulation, since no shared tier holds it.
 func TestFinishedRecordsBounded(t *testing.T) {
 	release := make(chan struct{})
 	run := func(ctx context.Context, req server.Request) (harness.ExperimentResult, error) {
@@ -749,5 +755,145 @@ func TestFinishedRecordsBounded(t *testing.T) {
 	}
 	if got := metricValue(t, ts, "server.sims_run"); got != sims+1 {
 		t.Errorf("server.sims_run = %g after a dropped id's POST, want %g", got, sims+1)
+	}
+}
+
+// TestCacheCountsEachLookupOnce: an executed job is one cache miss and a
+// POST answered by a done record one hit, while POSTs that join a queued or
+// running job count nothing.
+func TestCacheCountsEachLookupOnce(t *testing.T) {
+	g := newGateRunner()
+	_, ts := newTestServer(t, server.Options{Workers: 1, Runner: g.run})
+	const n = 3
+	bodies := make([]map[string]any, n)
+	ids := make([]string, n)
+	for i := range bodies {
+		bodies[i] = map[string]any{"experiment": "fig3", "seed": i + 1}
+		code, sb := postJob(t, ts, bodies[i])
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %d: HTTP %d", i, code)
+		}
+		ids[i] = sb.ID
+	}
+	<-g.started // one job running, the others queued
+	counts := func(when string, hits, misses float64) {
+		t.Helper()
+		if h, m := metricValue(t, ts, "server.cache_hits"), metricValue(t, ts, "server.cache_misses"); h != hits || m != misses {
+			t.Errorf("%s: server.cache_hits %g, cache_misses %g; want %g and %g", when, h, m, hits, misses)
+		}
+	}
+	for i, b := range bodies {
+		if code, sb := postJob(t, ts, b); code != http.StatusOK || sb.Status == "done" {
+			t.Fatalf("POST %d of an unfinished job: HTTP %d %+v", i, code, sb)
+		}
+	}
+	counts("after joining unfinished jobs", 0, 0)
+	close(g.gate)
+	for _, id := range ids {
+		if st := waitStatus(t, ts, id); st.Status != "done" {
+			t.Fatalf("job %s: %+v", id, st)
+		}
+	}
+	counts(fmt.Sprintf("after %d cold jobs", n), 0, n)
+	for i, b := range bodies {
+		if code, sb := postJob(t, ts, b); code != http.StatusOK || sb.Status != "done" {
+			t.Fatalf("repeat POST %d: HTTP %d %+v", i, code, sb)
+		}
+		counts(fmt.Sprintf("after %d repeat POSTs", i+1), float64(i+1), n)
+	}
+	if v := metricValue(t, ts, "server.cache_hit_rate"); v != 0.5 {
+		t.Errorf("server.cache_hit_rate = %g, want 0.5", v)
+	}
+}
+
+// TestRecentlyUsedRecordSurvives: at the bound a worker drops its least
+// recently used finished record, not its oldest: a done job whose repeat
+// POST was answered outlives the jobs that finished after it but were not
+// asked for again.
+func TestRecentlyUsedRecordSurvives(t *testing.T) {
+	const bound = 4
+	_, ts := newTestServer(t, server.Options{Workers: 1, CacheEntries: bound, Runner: quickRun})
+	run := func(seed int) string {
+		t.Helper()
+		code, sb := postJob(t, ts, map[string]any{"experiment": "fig3", "seed": seed})
+		if code != http.StatusAccepted {
+			t.Fatalf("POST of seed %d: HTTP %d", seed, code)
+		}
+		if st := waitStatus(t, ts, sb.ID); st.Status != "done" {
+			t.Fatalf("seed %d: %+v", seed, st)
+		}
+		return sb.ID
+	}
+	ids := make([]string, bound+1)
+	for seed := 1; seed <= bound; seed++ {
+		ids[seed] = run(seed)
+	}
+	if code, sb := postJob(t, ts, map[string]any{"experiment": "fig3", "seed": 1}); code != http.StatusOK || sb.Status != "done" {
+		t.Fatalf("repeat POST of the oldest job: HTTP %d %+v", code, sb)
+	}
+	run(bound + 1)
+	for seed, want := range map[int]int{1: http.StatusOK, 2: http.StatusNotFound, 3: http.StatusOK} {
+		if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/"+ids[seed], nil); code != want {
+			t.Errorf("GET of seed %d's job: HTTP %d, want %d", seed, code, want)
+		}
+	}
+	if v := metricValue(t, ts, "server.cache_evictions"); v != 1 {
+		t.Errorf("server.cache_evictions = %g, want 1", v)
+	}
+	if v := metricValue(t, ts, "server.cache_entries"); v != bound {
+		t.Errorf("server.cache_entries = %g, want %d", v, bound)
+	}
+}
+
+// TestFinishedRecordsConcurrent: POSTs of new and repeated jobs from several
+// goroutines, beside /metrics reads, keep the finished records at their
+// bound while jobs finish, hit and are dropped at once.
+func TestFinishedRecordsConcurrent(t *testing.T) {
+	const bound, clients, posts = 4, 4, 40
+	s, ts := newTestServer(t, server.Options{Workers: 2, QueueCapacity: clients * posts, CacheEntries: bound, Runner: quickRun})
+	stop, readerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Metrics()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	wg.Add(clients)
+	for c := 0; c < clients; c++ {
+		c := c
+		go func() {
+			defer wg.Done()
+			for i := 0; i < posts; i++ {
+				body := fmt.Sprintf(`{"experiment":"fig3","seed":%d}`, 1+(c*posts+i)%12)
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+					t.Errorf("POST %s: HTTP %d", body, resp.StatusCode)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if v := metricValue(t, ts, "server.cache_entries"); v > bound {
+		t.Errorf("server.cache_entries = %g, want at most %d", v, bound)
+	}
+	if done, misses := metricValue(t, ts, "server.jobs_done"), metricValue(t, ts, "server.cache_misses"); done != misses {
+		t.Errorf("server.jobs_done %g, server.cache_misses %g: every executed job should be one miss", done, misses)
 	}
 }

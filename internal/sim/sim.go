@@ -2,13 +2,13 @@
 // underlying every architecture model in this repository.
 //
 // The engine is deliberately small: simulated time is an int64 count of
-// picoseconds, and each clocked component (a processor, a memory system)
-// registers a Domain whose Tick method is invoked at every rising edge of
-// its clock. Domains may have different periods — the paper's compute clock
-// runs at 700 MHz while the die-stacked DRAM channel runs at 1.2 GHz — and a
-// domain's period may change while the simulation runs, which is how the
-// dynamic-frequency-scaling rate-matching controller (Section IV-F of the
-// paper) is modeled.
+// picoseconds, and each of a node's two clocked sides, its memory system
+// and then its processor, registers a Domain whose Tick method is invoked
+// at every rising edge of its clock. The domains have different periods —
+// the paper's compute clock runs at 700 MHz while the die-stacked DRAM
+// channel runs at 1.2 GHz — and a domain's period may change while the
+// simulation runs, which is how the dynamic-frequency-scaling rate-matching
+// controller (Section IV-F of the paper) is modeled.
 package sim
 
 import (
@@ -136,13 +136,12 @@ func (d *Domain) SetPeriod(p Time) error {
 	return nil
 }
 
-// Engine drives a set of clock domains in global-time order. It is not safe
-// for concurrent use; architecture models are single-goroutine by design so
+// Engine drives two clock domains in global-time order. It is not safe for
+// concurrent use; architecture models are single-goroutine by design so
 // that simulations are deterministic and replayable.
 type Engine struct {
 	domains []*Domain
 	now     Time
-	stopped bool
 	// Quiescence skipping (on by default): when every domain's ticker
 	// implements NextWorker and reports no possible work before some future
 	// edge, Run elides the intervening dead edges arithmetically instead of
@@ -189,19 +188,17 @@ func (e *Engine) SkipWindows() uint64 { return e.skipWindows }
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Stop requests that Run return after the tick currently being dispatched.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called.
-func (e *Engine) Stopped() bool { return e.stopped }
-
 // ErrBadDomain is returned when a domain registration is invalid.
 var ErrBadDomain = errors.New("sim: invalid domain")
 
 // AddDomain registers a new clock domain with the given name, period (ps),
-// and component. The first edge fires at t = period (not at t = 0), so all
-// components observe a defined reset state before their first tick.
+// and component; an engine takes two, and ties between their edges go to
+// the first registered. The first edge fires at t = period (not at t = 0),
+// so all components observe a defined reset state before their first tick.
 func (e *Engine) AddDomain(name string, period Time, t Ticker) (*Domain, error) {
+	if len(e.domains) == 2 {
+		return nil, fmt.Errorf("%w: %q would be a third domain", ErrBadDomain, name)
+	}
 	if period <= 0 {
 		return nil, fmt.Errorf("%w: %q has non-positive period %d", ErrBadDomain, name, period)
 	}
@@ -227,28 +224,6 @@ func (e *Engine) AddDomain(name string, period Time, t Ticker) (*Domain, error) 
 	return d, nil
 }
 
-// step dispatches the earliest pending edge. With the handful of domains the
-// models use, a linear scan beats a heap. Ties are broken by registration
-// order, which keeps runs deterministic.
-func (e *Engine) step() bool {
-	if len(e.domains) == 0 || e.stopped {
-		return false
-	}
-	min := e.domains[0]
-	for _, d := range e.domains[1:] {
-		if d.next < min.next {
-			min = d
-		}
-	}
-	e.now = min.next
-	min.ticks++
-	min.busy = false
-	min.ticker.Tick(e.now)
-	// Schedule the following edge using the (possibly just-changed) period.
-	min.next = e.now + min.period
-	return true
-}
-
 // elide arithmetically dispatches every edge of d strictly before cut:
 // the tick count advances, the ticker replays its per-tick bookkeeping via
 // SkipTicks, and the next scheduled edge lands on exactly the phase the
@@ -272,9 +247,10 @@ func (e *Engine) elide(d *Domain, cut Time) uint64 {
 // edge-by-edge loop dispatches the first edge at or past the limit and then
 // errors with now at that edge, so when that edge falls inside a window the
 // fast-forward elides up to and including it — exactly one domain's edge,
-// the scan's tie-break winner — sets now to it, and returns true so the
-// caller's limit check fires at the identical instant. In all other cases
-// it returns false and the caller dispatches the next edge normally.
+// the registration-order tie-break winner — sets now to it, and returns
+// true so the caller's limit check fires at the identical instant. In all
+// other cases it returns false and the caller dispatches the next edge
+// normally.
 func (e *Engine) trySkip(limit Time) bool {
 	// Cached-busy pass first: while any domain is known busy at its next
 	// edge no window can open, and not a single NextWork call is spent.
@@ -317,8 +293,8 @@ func (e *Engine) trySkip(limit Time) bool {
 		return false
 	}
 	if limit > 0 && work > limit {
-		// First edge at or past the limit, and its owning domain under
-		// step()'s registration-order tie-break.
+		// First edge at or past the limit, and its owning domain under the
+		// registration-order tie-break.
 		var lim *Domain
 		edge := Never
 		for _, d := range e.domains {
@@ -356,39 +332,27 @@ func (e *Engine) trySkip(limit Time) bool {
 	return false
 }
 
-// Run advances the simulation until done returns true (checked after every
-// dispatched edge), Stop is called, or the time limit is exceeded. It
-// returns the final simulated time and an error if the limit was hit.
+// Run advances the simulation until done returns true (checked before
+// every edge) or the time limit is exceeded, and returns the final
+// simulated time, with an error if the limit was hit. It needs exactly two
+// registered domains.
 func (e *Engine) Run(limit Time, done func() bool) (Time, error) {
+	if len(e.domains) != 2 {
+		return e.now, fmt.Errorf("sim: Run needs 2 clock domains, have %d", len(e.domains))
+	}
 	if done == nil {
 		done = func() bool { return false }
 	}
-	if len(e.domains) == 2 {
-		return e.run2(limit, done)
-	}
-	for !done() && !e.stopped {
-		if limit > 0 && e.now >= limit {
-			return e.now, fmt.Errorf("sim: time limit %d ps exceeded at t=%d", limit, e.now)
-		}
-		if e.skip && e.trySkip(limit) {
-			continue // fast-forwarded into the limit; the check above fires
-		}
-		if !e.step() {
-			break
-		}
-	}
-	return e.now, nil
+	return e.run2(limit, done)
 }
 
-// run2 is Run specialized for the ubiquitous two-domain (memory + compute)
-// configuration: instead of re-scanning the domain slice per edge it picks
-// between the two pointers directly. The tie-break is identical to step()'s
-// scan — the first-registered domain wins on equal edge times — and no model
-// registers domains mid-run, so hoisting the pair is safe.
+// run2 is Run's loop over the two domains, picked between directly: the
+// first-registered domain wins on equal edge times, and the pair is fixed
+// before the run starts.
 func (e *Engine) run2(limit Time, done func() bool) (Time, error) {
 	d0, d1 := e.domains[0], e.domains[1]
 	skip := e.skip && d0.nw != nil && d1.nw != nil
-	for !done() && !e.stopped {
+	for !done() {
 		if limit > 0 && e.now >= limit {
 			return e.now, fmt.Errorf("sim: time limit %d ps exceeded at t=%d", limit, e.now)
 		}
@@ -419,15 +383,4 @@ func (e *Engine) run2(limit Time, done func() bool) (Time, error) {
 		min.next = e.now + min.period
 	}
 	return e.now, nil
-}
-
-// RunTicks advances the simulation by exactly n dispatched edges (across all
-// domains), mainly for tests. It never skips: "n edges" means n Tick calls.
-func (e *Engine) RunTicks(n int) Time {
-	for i := 0; i < n; i++ {
-		if !e.step() {
-			break
-		}
-	}
-	return e.now
 }

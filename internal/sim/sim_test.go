@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -59,8 +61,27 @@ func TestAddDomainValidation(t *testing.T) {
 	if _, err := e.AddDomain("a", 200, tick); err == nil {
 		t.Error("expected error for duplicate name")
 	}
+	if _, err := e.AddDomain("b", 200, tick); err != nil {
+		t.Fatalf("second AddDomain failed: %v", err)
+	}
+	if _, err := e.AddDomain("c", 300, tick); !errors.Is(err, ErrBadDomain) {
+		t.Errorf("third AddDomain: %v, want ErrBadDomain", err)
+	}
 }
 
+// idle is a domain with no edges in the tests' horizons, to make up an
+// engine's pair.
+const idlePeriod = Second
+
+func addIdle(t *testing.T, e *Engine) {
+	t.Helper()
+	if _, err := e.AddDomain("idle", idlePeriod, TickFunc(func(Time) { t.Error("the idle domain ticked") })); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSingleDomainTickTimes: one domain's edges fall at multiples of its
+// period, from t = period on.
 func TestSingleDomainTickTimes(t *testing.T) {
 	e := NewEngine()
 	var times []Time
@@ -70,7 +91,10 @@ func TestSingleDomainTickTimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunTicks(4)
+	addIdle(t, e)
+	if _, err := e.Run(0, func() bool { return len(times) == 4 }); err != nil {
+		t.Fatal(err)
+	}
 	want := []Time{1000, 2000, 3000, 4000}
 	if len(times) != len(want) {
 		t.Fatalf("got %d ticks, want %d", len(times), len(want))
@@ -92,7 +116,9 @@ func TestTwoDomainInterleaving(t *testing.T) {
 	var order []string
 	_, _ = e.AddDomain("slow", 1000, TickFunc(func(now Time) { order = append(order, "s") }))
 	_, _ = e.AddDomain("fast", 400, TickFunc(func(now Time) { order = append(order, "f") }))
-	e.RunTicks(7)
+	if _, err := e.Run(0, func() bool { return len(order) == 7 }); err != nil {
+		t.Fatal(err)
+	}
 	// Edges: f@400, f@800, s@1000, f@1200, f@1600, s@2000, f@2000 -> s wins tie (registered first).
 	want := "ffsffsf"
 	got := ""
@@ -120,7 +146,10 @@ func TestSetPeriodTakesEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunTicks(4)
+	addIdle(t, e)
+	if _, err := e.Run(0, func() bool { return len(times) == 4 }); err != nil {
+		t.Fatal(err)
+	}
 	want := []Time{1000, 2000, 2500, 3000}
 	for i := range want {
 		if times[i] != want[i] {
@@ -143,39 +172,41 @@ func TestSetPeriodRejectsNonPositive(t *testing.T) {
 	}
 }
 
+// TestRunDoneAndStop: Run returns once done reports true, before any
+// further edge of either domain, whether done counts edges or reads a flag a
+// tick set.
 func TestRunDoneAndStop(t *testing.T) {
 	e := NewEngine()
-	n := 0
+	n, other := 0, 0
 	_, _ = e.AddDomain("cpu", 10, TickFunc(func(Time) { n++ }))
-	if _, err := e.Run(0, func() bool { return n >= 5 }); err != nil {
+	_, _ = e.AddDomain("mem", 15, TickFunc(func(Time) { other++ }))
+	now, err := e.Run(0, func() bool { return n >= 5 })
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 5 {
-		t.Errorf("ran %d ticks, want 5", n)
+	if n != 5 || other != 3 || now != 50 {
+		t.Errorf("ran %d and %d ticks to t=%d, want 5 and 3 to t=50", n, other, now)
 	}
 
 	e2 := NewEngine()
-	m := 0
+	m, stop := 0, false
 	_, _ = e2.AddDomain("cpu", 10, TickFunc(func(Time) {
 		m++
-		if m == 3 {
-			e2.Stop()
-		}
+		stop = m == 3
 	}))
-	if _, err := e2.Run(0, nil); err != nil {
+	addIdle(t, e2)
+	if _, err := e2.Run(0, func() bool { return stop }); err != nil {
 		t.Fatal(err)
 	}
 	if m != 3 {
-		t.Errorf("Stop did not halt run: %d ticks", m)
-	}
-	if !e2.Stopped() {
-		t.Error("Stopped() = false after Stop")
+		t.Errorf("a tick's stop did not halt the run: %d ticks", m)
 	}
 }
 
 func TestRunTimeLimit(t *testing.T) {
 	e := NewEngine()
 	_, _ = e.AddDomain("cpu", 10, TickFunc(func(Time) {}))
+	addIdle(t, e)
 	if _, err := e.Run(100, nil); err == nil {
 		t.Error("expected time-limit error")
 	}
@@ -184,11 +215,18 @@ func TestRunTimeLimit(t *testing.T) {
 	}
 }
 
+// TestRunEmptyEngine: Run refuses an engine without its two domains and
+// leaves the clock at zero.
 func TestRunEmptyEngine(t *testing.T) {
 	e := NewEngine()
-	now, err := e.Run(0, nil)
-	if err != nil || now != 0 {
-		t.Errorf("empty engine Run = (%d, %v), want (0, nil)", now, err)
+	for domains := 0; domains < 2; domains++ {
+		now, err := e.Run(0, nil)
+		if err == nil || now != 0 {
+			t.Errorf("Run with %d domains = (%d, %v), want (0, an error)", domains, now, err)
+		}
+		if _, err := e.AddDomain(fmt.Sprint("d", domains), 10, TickFunc(func(Time) {})); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -210,10 +248,8 @@ func TestPropertyEdgeCounts(t *testing.T) {
 		d1, _ := e.AddDomain("a", p1, TickFunc(check))
 		d2, _ := e.AddDomain("b", p2, TickFunc(check))
 		horizon := Time(5000)
-		for e.Now() < horizon {
-			if e.RunTicks(1) == e.Now() && e.Now() == 0 {
-				break
-			}
+		if _, err := e.Run(0, func() bool { return e.Now() >= horizon }); err != nil {
+			return false
 		}
 		// After crossing the horizon, each domain has ticked either
 		// floor(now/p) or that ±1 depending on which edge crossed last.

@@ -9,17 +9,18 @@ import (
 
 // scripted is a NextWorker test double: it does "work" only at the tick
 // indices listed in work (1-based, matching Domain.Ticks after the edge),
-// tallies every other tick as dead bookkeeping, and optionally calls
-// Engine.Stop at stopAt. Its NextWork answer is derived purely from the work
+// tallies every other tick as dead bookkeeping, and optionally asks the run
+// to stop at stopAt. Its NextWork answer is derived purely from the work
 // script, so skip-on and skip-off runs must observe identical logs.
 type scripted struct {
-	d      *Domain
-	eng    *Engine
-	ticks  int64
-	work   []int64 // sorted work-tick indices
-	log    []int64 // work ticks actually dispatched
-	dead   int64   // dead-tick bookkeeping tally
-	stopAt int64   // 0 = never
+	d       *Domain
+	eng     *Engine
+	ticks   int64
+	work    []int64 // sorted work-tick indices
+	log     []int64 // work ticks actually dispatched
+	dead    int64   // dead-tick bookkeeping tally
+	stopAt  int64   // 0 = never
+	stopped bool    // the tick at stopAt has run
 }
 
 func (s *scripted) isWork(i int64) bool {
@@ -35,7 +36,7 @@ func (s *scripted) Tick(now Time) {
 		s.dead++
 	}
 	if s.stopAt != 0 && s.ticks == s.stopAt {
-		s.eng.Stop()
+		s.stopped = true
 	}
 }
 
@@ -62,7 +63,8 @@ func (s *scripted) SkipTicks(n int64) {
 }
 
 // runScripted builds a two-domain engine from work scripts and runs it until
-// both scripts are exhausted (or stopped), returning the scripted tickers.
+// both scripts are exhausted, or a's stop tick has run, returning the
+// scripted tickers.
 func runScripted(t *testing.T, skip bool, p1, p2 Time, w1, w2 []int64, stop1 int64, limit Time) (*scripted, *scripted, Time, error) {
 	t.Helper()
 	e := NewEngine()
@@ -79,8 +81,9 @@ func runScripted(t *testing.T, skip bool, p1, p2 Time, w1, w2 []int64, stop1 int
 		t.Fatal(err)
 	}
 	done := func() bool {
-		// Empty scripts model "idle forever": run until Stop or the limit.
-		return len(w1)+len(w2) > 0 && s1.stopAt == 0 &&
+		// Empty scripts model "idle forever": run until the stop tick or
+		// the limit.
+		return s1.stopped || len(w1)+len(w2) > 0 && s1.stopAt == 0 &&
 			len(s1.log) == len(w1) && len(s2.log) == len(w2)
 	}
 	now, rerr := e.Run(limit, done)
@@ -131,7 +134,7 @@ func TestSkipCoprimePeriods(t *testing.T) {
 	}
 }
 
-// TestSkipStopMidWindow has domain a call Stop at a work tick that
+// TestSkipStopMidWindow has domain a stop the run at a work tick that
 // terminates a long quiescent stretch: the skip-enabled run must halt at the
 // identical tick and time, having skipped the window but dispatched the
 // stopping edge live.
@@ -147,8 +150,8 @@ func TestSkipStopMidWindow(t *testing.T) {
 	if a1.ticks != 500 {
 		t.Errorf("stopped at tick %d, want 500", a1.ticks)
 	}
-	if !a1.eng.Stopped() {
-		t.Error("engine not stopped")
+	if !a1.stopped {
+		t.Error("run not stopped")
 	}
 	sameOutcome(t, "a", a1, a0)
 	sameOutcome(t, "b", b1, b0)
@@ -192,10 +195,12 @@ func TestSkipLimitExactError(t *testing.T) {
 // overflowing the window arithmetic).
 func TestSkipDeadlockNoLimit(t *testing.T) {
 	e := NewEngine()
-	s := &scripted{eng: e}
+	s, idle := &scripted{eng: e}, &scripted{eng: e}
 	var err error
-	s.d, err = e.AddDomain("a", 10, s)
-	if err != nil {
+	if s.d, err = e.AddDomain("a", 10, s); err != nil {
+		t.Fatal(err)
+	}
+	if idle.d, err = e.AddDomain("b", 1000, idle); err != nil {
 		t.Fatal(err)
 	}
 	n := 0

@@ -6,7 +6,7 @@
 //
 // The experiment assembles a complete in-process cluster — two worker nodes
 // over the real experiment registry, one shared result store mounted behind
-// each node's local LRU, and the consistent-hash router in front — wired
+// each node's job records, and the consistent-hash router in front — wired
 // together by an in-process HTTP transport (no sockets), then drives it
 // closed-loop at increasing client concurrencies with a deterministic
 // request mix. Each offered-load step reports sustained req/s, p50/p99
@@ -108,7 +108,7 @@ func run(ctx context.Context, p arch.Params, o harness.ExpOptions) (harness.Expe
 	text := "SLA study: each row offers " + fmt.Sprint(requestsPer) + " jobs from that many closed-loop clients\n" +
 		"through the consistent-hash router; identical requests land on one node, so the\n" +
 		"cluster simulates each variant once and serves the rest from the router's\n" +
-		"finished-job store, a worker's local LRU or the shared store tier (hit_rate\n" +
+		"finished-job store, a worker's job records or the shared store tier (hit_rate\n" +
 		"counts hits at all three, shared_frac is the shared store's share of them).\n" +
 		"p50/p99 are client submit-to-done; hist_p99 is the workers' jobs-histogram\n" +
 		"upper-edge estimate (wait+run, power-of-two-ms buckets).\n"

@@ -221,71 +221,6 @@ func RunExperimentContext(ctx context.Context, name string, cfg Config, opts ...
 	})
 }
 
-// oneFigure dispatches a single-figure experiment through the registry —
-// the pre-registry figure functions below are one-line wrappers over it.
-func oneFigure(name string, cfg Config, scale float64) (*Figure, error) {
-	res, err := RunExperiment(name, cfg, WithScale(scale))
-	if err != nil {
-		return nil, err
-	}
-	return res.Figures[0], nil
-}
-
-// Figure3 reproduces the paper's Figure 3 (performance normalized to
-// GPGPU). scale multiplies each benchmark's default input size; 1.0 is the
-// paper-scale run used by cmd/milliexp, smaller values are proportionally
-// faster.
-func Figure3(cfg Config, scale float64) (*Figure, error) { return oneFigure("fig3", cfg, scale) }
-
-// Figure4 reproduces Figure 4 (energy normalized to GPGPU); the second
-// figure carries the core/DRAM/leakage breakdown.
-func Figure4(cfg Config, scale float64) (*Figure, *Figure, error) {
-	res, err := RunExperiment("fig4", cfg, WithScale(scale))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.Figures[0], res.Figures[1], nil
-}
-
-// Figure5 reproduces Figure 5 (Millipede node vs conventional multicore).
-func Figure5(cfg Config, scale float64) (*Figure, error) { return oneFigure("fig5", cfg, scale) }
-
-// Figure6 reproduces Figure 6 (speedup vs system size).
-func Figure6(cfg Config, scale float64) (*Figure, error) { return oneFigure("fig6", cfg, scale) }
-
-// Figure7 reproduces Figure 7 (speedup vs prefetch buffer count).
-func Figure7(cfg Config, scale float64) (*Figure, error) { return oneFigure("fig7", cfg, scale) }
-
-// ChannelSweep measures Millipede across 1/2/4 die-stack memory channels on
-// every benchmark, normalized to the single-channel configuration.
-func ChannelSweep(cfg Config, scale float64) (*Figure, error) {
-	return oneFigure("channels", cfg, scale)
-}
-
-// TableIV reproduces Table IV (benchmark characteristics).
-func TableIV(cfg Config, scale float64) (*Figure, error) { return oneFigure("table4", cfg, scale) }
-
-// TableIII renders the hardware configuration.
-func TableIII(cfg Config) string {
-	res, err := RunExperiment("table3", cfg)
-	if err != nil {
-		return "" // unreachable: table3 renders without simulating
-	}
-	return res.Text
-}
-
-// TableII renders the application-behavior summary.
-func TableII() string {
-	res, err := RunExperiment("table2", cfg0())
-	if err != nil {
-		return "" // unreachable: table2 renders without simulating
-	}
-	return res.Text
-}
-
-// cfg0 is the config passed to experiments that ignore it.
-func cfg0() Config { return DefaultConfig() }
-
 // Program is an assembled kernel.
 type Program = isa.Program
 
@@ -303,40 +238,6 @@ func RunReduced(archName, bench string, cfg Config, recordsPerThread int, opts .
 		return Result{}, nil, err
 	}
 	return harness.Run(archName, b, cfg, recordsPerThread, applyOptions(opts).harnessOptions())
-}
-
-// BarrierAblation reproduces the paper's Section IV-C software-barrier
-// discussion on the count benchmark: hardware flow control vs no flow
-// control vs software barriers at record and Map-task granularity.
-func BarrierAblation(cfg Config, scale float64) (*Figure, error) {
-	return oneFigure("ablation", cfg, scale)
-}
-
-// CharacteristicsStudy quantifies the paper's first contribution (Sections
-// III-C/III-D): the compact, row-dense count benchmark versus the
-// non-compact join anti-benchmark on the same Millipede processor. Note the
-// scale here is applied as given; the registry's "characteristics"
-// experiment divides its scale by 4 first (milliexp's historical default).
-func CharacteristicsStudy(cfg Config, scale float64) (*Figure, error) {
-	return harness.CharacteristicsStudy(context.Background(), cfg, scale, 0)
-}
-
-// WarpWidthSweep examines the VWS design space: performance at warp widths
-// 4..32 on the branchy benchmarks, the paper's "VWS always chooses 4-wide
-// warps" observation.
-func WarpWidthSweep(cfg Config, scale float64) (*Figure, error) {
-	return oneFigure("warpwidth", cfg, scale)
-}
-
-// ResidencyStudy quantifies Section IV-E: the cost of per-run host copy-in
-// versus kernel time, and the data-reuse count after which residency makes
-// it negligible.
-func ResidencyStudy(cfg Config, hostBandwidthGBs, scale float64) (*Figure, error) {
-	res, err := RunExperiment("residency", cfg, WithScale(scale), WithHostBandwidth(hostBandwidthGBs))
-	if err != nil {
-		return nil, err
-	}
-	return res.Figures[0], nil
 }
 
 // KMeansIteration runs one k-means MapReduction on Millipede with the given

@@ -70,8 +70,14 @@ func TestPublicAssemble(t *testing.T) {
 }
 
 func TestPublicTables(t *testing.T) {
-	if TableIII(DefaultConfig()) == "" || TableII() == "" {
-		t.Error("empty tables")
+	for _, name := range []string{"table2", "table3"} {
+		res, err := RunExperiment(name, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Text == "" {
+			t.Errorf("%s rendered empty", name)
+		}
 	}
 }
 
@@ -202,9 +208,6 @@ func TestExperimentRegistryPublic(t *testing.T) {
 	if res.Text == "" || res.Render() == "" {
 		t.Error("table3 experiment rendered empty")
 	}
-	if res.Text != TableIII(DefaultConfig()) {
-		t.Error("registry table3 differs from the TableIII wrapper")
-	}
 }
 
 func TestRunOptionsPublic(t *testing.T) {
@@ -248,11 +251,13 @@ func TestPublicBarrierAblationAndCharacteristics(t *testing.T) {
 		t.Skip("long")
 	}
 	cfg := DefaultConfig()
-	f, err := BarrierAblation(cfg, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Rows) != 1 {
-		t.Error("ablation rows")
+	for name, rows := range map[string]int{"ablation": 1, "characteristics": 2} {
+		res, err := RunExperiment(name, cfg, WithScale(0.03))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Figures) != 1 || len(res.Figures[0].Rows) != rows {
+			t.Errorf("%s: %d figures, want one with %d rows", name, len(res.Figures), rows)
+		}
 	}
 }

@@ -6,10 +6,12 @@
 # the cluster-wide caching guarantee: an identical request POSTed directly
 # to both worker nodes simulates exactly once — the second node serves it
 # from the store tier (sims_run 0, cache_shared_hits 1 on /metrics) with a
-# byte-identical result body. The router must route the same request to one
-# node, answer its repeat (POST and result GET) from its finished-job store
-# with the same bytes and without a worker hop, and milliload must emit an
-# SLA report with nonzero latency percentiles against the cluster.
+# byte-identical result body. The router must relay both catalogs (GET
+# /v1/experiments and /v1/workloads) byte-identical to a worker's, route the
+# same request to one node, answer its repeat (POST and result GET) from its
+# finished-job store with the same bytes and without a worker hop, and
+# milliload must emit an SLA report with nonzero latency percentiles
+# against the cluster.
 # Everything is torn down with SIGTERM.
 # Used by `make cluster-demo` and the CI smoke step.
 set -euo pipefail
@@ -76,6 +78,14 @@ wait_healthy "$NODE_B" "worker B"
 PIDS+=($!)
 wait_healthy "$ROUTER" "router"
 echo "cluster-demo: store + 2 workers + router up"
+
+# --- Catalogs: the router relays both of a worker's catalog bodies. ---
+for path in /v1/experiments /v1/workloads; do
+  curl -fsS -o "$DIR/rt_catalog" "$ROUTER$path" || fail "GET $path through the router failed"
+  curl -fsS -o "$DIR/node_catalog" "$NODE_A$path" || fail "GET $path from worker A failed"
+  cmp -s "$DIR/rt_catalog" "$DIR/node_catalog" || fail "GET $path through the router differs from worker A's body"
+done
+echo "cluster-demo: router serves both catalogs byte-identical to a worker's"
 
 # --- Cluster-wide cache hit: POST the identical request to BOTH workers. ---
 REQ='{"experiment":"ablation","scale":0.25}'
